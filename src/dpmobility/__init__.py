@@ -42,6 +42,7 @@ from .noise import (
 )
 from .privatize import (
     EndpointDecision,
+    EndpointPlan,
     PrivacyConfig,
     PrivatizationReport,
     baseline_od_remove,
@@ -50,6 +51,7 @@ from .privatize import (
     detect_repeated_od,
     od_remove,
     od_successive_remove,
+    plan_endpoints,
     privatize_aggregate,
     privatize_trajectories,
     trip_remove,

@@ -4,6 +4,8 @@ The buffer disc around a point grows in fixed steps until it holds more
 than ``h1`` links overall and more than ``h2`` links of the requested
 functional class; the noise radius is then half the final buffer, and the
 class-filtered buffer content becomes the candidate set for re-matching.
+Each link near the point is measured once per call; the probes only
+compare those distances with the growing buffer.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import SparseNetworkError
 from .geometry import GeoPoint
-from .network import LinkId, RoadNetwork
+from .network import LinkId, RadiusScan, RoadNetwork
 
 DEFAULT_H1 = 8
 DEFAULT_H2 = 3
@@ -54,11 +56,12 @@ def select_radius(
     if initial_buffer_m <= 0.0 or step_m <= 0.0:
         raise ValueError("buffer sizes must be positive")
 
+    scan = RadiusScan(net, point)
     z = initial_buffer_m
     iterations = 0
     while z <= max_buffer_m:
         iterations += 1
-        all_links = net.links_within(point, z)
+        all_links = scan.within(z)
         fc_links = {lid for lid in all_links if net.links[lid].functional_class == fc}
         if len(all_links) > h1 and len(fc_links) > h2:
             return BufferResult(

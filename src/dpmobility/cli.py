@@ -133,7 +133,6 @@ def _privacy_config(args, epsilon: float) -> PrivacyConfig:
         buffer_step_m=args.buffer_step,
         max_buffer_m=args.max_buffer,
         global_seed=args.seed,
-        trip_gap_s=args.gap,
         perturb_repeated=not args.keep_repeated,
     )
 

@@ -19,7 +19,9 @@ from .privatize import (
     PrivatizationReport,
     SOURCE_DP_ANI,
     match_corpus,
+    plan_endpoints,
     privatize_trajectories,
+    window_matched,
 )
 from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory
 
@@ -180,18 +182,18 @@ def compare(
 ) -> list[dict]:
     """Run every requested model and emit one metrics row per run.
 
-    Removal-style models and the raw reference run once; the adaptive-noise
-    model runs once per epsilon.  Rows are dictionaries keyed by
+    Every model sees the matched trips inside ``window``.  Removal-style
+    models and the raw reference run once; the adaptive-noise model draws
+    once per epsilon from one shared plan.  Rows are dictionaries keyed by
     COMPARE_COLUMNS; ``epsilon`` is None for epsilon-independent models.
     """
     unknown = set(models) - set(DEFAULT_MODELS)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
 
-    matched, n_unmatchable = match_corpus(
-        gps_corpus, net, match_cfg, utc_offset_hours, threads
-    )
-    raw_trips = {i: t for i, t in enumerate(matched) if t is not None}
+    matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours, threads)
+    in_window, _ = window_matched(matched, window)
+    raw_trips = {i: t for i, t in enumerate(in_window) if t is not None}
     raw_corpus = list(raw_trips.values())
     raw_agg = aggregate(raw_corpus, window=window)
     raw_ods = {i: (t.links[0], t.links[-1]) for i, t in raw_trips.items()}
@@ -214,7 +216,8 @@ def compare(
         if model == MODEL_RAW:
             raw_report = _identity_report(raw_ods, raw_trips, len(gps_corpus))
             unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, raw_agg, raw_report)
-            rows.append(row(model, None, raw_corpus, raw_agg, unchanged, ratio, n_unmatchable))
+            excluded = len(gps_corpus) - len(raw_corpus)
+            rows.append(row(model, None, raw_corpus, raw_agg, unchanged, ratio, excluded))
         elif model in _BASELINES:
             aligned = _BASELINES[model](raw_corpus)
             index = list(raw_trips)
@@ -228,16 +231,13 @@ def compare(
             rows.append(
                 row(model, None, corpus, agg, unchanged, ratio, len(gps_corpus) - len(corpus))
             )
-        else:  # adaptive noise, once per epsilon
+        else:  # adaptive noise: one plan, one draw per epsilon
+            plan = plan_endpoints(
+                gps_corpus, net, cfg, match_cfg, utc_offset_hours, window, matched
+            )
             for eps in epsilons:
                 out, report = privatize_trajectories(
-                    gps_corpus,
-                    net,
-                    replace(cfg, epsilon=eps),
-                    match_cfg,
-                    utc_offset_hours,
-                    matched=matched,
-                    threads=threads,
+                    gps_corpus, net, replace(cfg, epsilon=eps), plan=plan
                 )
                 corpus = list(out.values())
                 agg = aggregate(corpus, window=window, source=SOURCE_DP_ANI)

@@ -175,7 +175,12 @@ class RoadNetwork:
         return (ix0, iy0), (ix1, iy1)
 
     def _candidate_links(self, center: GeoPoint, radius: float) -> set[LinkId]:
-        (ix0, iy0), (ix1, iy1) = self._cells_in_range(center, radius)
+        return self._links_in_cells(self._cells_in_range(center, radius))
+
+    def _links_in_cells(
+        self, box: tuple[tuple[int, int], tuple[int, int]]
+    ) -> set[LinkId]:
+        (ix0, iy0), (ix1, iy1) = box
         out: set[LinkId] = set()
         for ix in range(ix0, ix1 + 1):
             for iy in range(iy0, iy1 + 1):
@@ -198,13 +203,7 @@ class RoadNetwork:
 
     def links_within(self, center: GeoPoint, radius: float) -> set[LinkId]:
         """Exactly the links whose geometry comes within ``radius`` of ``center``."""
-        if radius < 0.0:
-            raise ValueError(f"negative radius: {radius}")
-        return {
-            lid
-            for lid in self._candidate_links(center, radius)
-            if self.distance_to_link(center, lid) <= radius
-        }
+        return RadiusScan(self, center).within(radius)
 
     def links_within_fc(self, center: GeoPoint, radius: float, fc: int) -> set[LinkId]:
         """Radius query restricted to one functional class."""
@@ -284,3 +283,35 @@ class RoadNetwork:
 
     def path_length_m(self, links: list[LinkId] | tuple[LinkId, ...]) -> float:
         return sum(self.links[lid].length_m for lid in links)
+
+
+class RadiusScan:
+    """Radius queries of growing size around one fixed centre.
+
+    Each link offered by the grid index is measured with
+    :meth:`RoadNetwork.distance_to_link` once, the first time a query's
+    cells reach it; later queries only compare the stored distances with
+    their radius.  A growing buffer therefore costs one exact distance per
+    nearby link instead of one per link and probe.  Each query returns the
+    same set as a fresh query of its radius: the distances are the exact
+    ones, and the cells of a radius already offer every link within it.
+    """
+
+    def __init__(self, net: RoadNetwork, center: GeoPoint):
+        self._net = net
+        self._center = center
+        self._box: tuple[tuple[int, int], tuple[int, int]] | None = None
+        self._distances: dict[LinkId, float] = {}
+
+    def within(self, radius: float) -> set[LinkId]:
+        """Links whose geometry comes within ``radius`` of the centre."""
+        if radius < 0.0:
+            raise ValueError(f"negative radius: {radius}")
+        box = self._net._cells_in_range(self._center, radius)
+        if box != self._box:
+            self._box = box
+            distances = self._distances
+            for lid in self._net._links_in_cells(box):
+                if lid not in distances:
+                    distances[lid] = self._net.distance_to_link(self._center, lid)
+        return {lid for lid, d in self._distances.items() if d <= radius}

@@ -5,9 +5,18 @@ window's raw aggregation, or when the trip repeats a (device, origin link,
 destination link) combination inside the window.  Perturbation draws planar
 Laplace noise with a density-adaptive radius, snaps the noisy point onto a
 same-class candidate link near the original endpoint, and re-routes only
-the affected trip end.  Counts are frozen before any perturbation, and each
-draw is seeded from the endpoint's link id, so results are independent of
-processing order and identical across runs.
+the affected trip end.  Each draw is seeded from the endpoint's link id, so
+results are independent of processing order and identical across runs.
+
+A run has two stages.  The plan (:func:`plan_endpoints`) holds everything
+that does not depend on epsilon: the matched trips inside the window, their
+link counts and repeated-OD flags, which ends fire, and each fired end's
+buffer radius and candidate set.  The window applies here, before counting,
+so the rule above holds for exactly the population that is released;
+trips outside it are excluded as ``out_of_window``.  The draw
+(:func:`privatize_trajectories`) takes a plan and one epsilon and only
+perturbs, snaps and re-routes, so an epsilon sweep builds one plan and
+draws from it once per epsilon.
 
 Adding or removing a single link traversal changes the aggregated output by
 one count, so noise is calibrated for unit sensitivity.
@@ -29,14 +38,16 @@ from .adaptive import (
     DEFAULT_H2,
     DEFAULT_INITIAL_BUFFER_M,
     DEFAULT_MAX_BUFFER_M,
+    BufferResult,
     select_radius,
 )
 from .aggregate import AggregatedMobilityNetwork, Window, aggregate, compute_link_counts
 from .errors import DisplacementRangeError, SparseNetworkError, UnmatchableError
 from .matching import MatchConfig, match_noisy_endpoint, match_trajectory, rebuild_trajectory
-from .network import LinkId, RoadNetwork
+from .geometry import GeoPoint
+from .network import LinkId, NodeId, RoadNetwork
 from .noise import NoiseParams, SeedRule, perturb
-from .trajectories import DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory
+from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory
 
 ORIGIN = "origin"
 DESTINATION = "destination"
@@ -58,7 +69,6 @@ class PrivacyConfig:
     buffer_step_m: float = DEFAULT_BUFFER_STEP_M
     max_buffer_m: float = DEFAULT_MAX_BUFFER_M
     global_seed: int = 0
-    trip_gap_s: float = DEFAULT_TRIP_GAP_S
     perturb_repeated: bool = True
 
     def __post_init__(self):
@@ -142,6 +152,137 @@ def match_corpus(
     return matched, sum(1 for m in matched if m is None)
 
 
+def window_matched(
+    matched: Sequence[LinkTrajectory | None], window: Window | None = None
+) -> tuple[list[LinkTrajectory | None], dict[str, int]]:
+    """``matched`` with every trip outside ``window`` replaced by None,
+    plus how many trips were left out for each cause (``unmatchable``,
+    ``out_of_window``)."""
+    excluded: dict[str, int] = {}
+    in_window: list[LinkTrajectory | None] = []
+    for trip in matched:
+        cause = None
+        if trip is None:
+            cause = "unmatchable"
+        elif window is not None and not window.contains(trip):
+            cause = "out_of_window"
+        if cause is not None:
+            excluded[cause] = excluded.get(cause, 0) + 1
+            trip = None
+        in_window.append(trip)
+    return in_window, excluded
+
+
+@dataclass(frozen=True)
+class FiredEnd:
+    """One endpoint the rule requires to be perturbed.
+
+    ``buffer`` is the outcome of :func:`select_radius` around ``point``, or
+    the :class:`SparseNetworkError` it raised; neither depends on epsilon.
+    """
+
+    link: LinkId
+    point: GeoPoint
+    buffer: BufferResult | SparseNetworkError
+
+
+@dataclass(frozen=True)
+class EndpointPlan:
+    """The epsilon-independent part of one privatization run.
+
+    ``trips`` maps corpus positions to the matched trips inside the window;
+    ``counts`` and ``repeated`` are computed over exactly those trips, and
+    ``fired`` holds every end that the rule perturbs, keyed by (trip
+    position, ORIGIN or DESTINATION).  ``excluded`` counts the trips
+    dropped before any draw.  ``cfg`` is the configuration the plan was
+    built with; only its epsilon may differ in a draw.
+    """
+
+    cfg: PrivacyConfig
+    trips_in: int
+    trips: dict[int, LinkTrajectory]
+    excluded: dict[str, int]
+    counts: dict[LinkId, int]
+    repeated: frozenset[int]
+    fired: dict[tuple[int, str], FiredEnd]
+
+
+def plan_endpoints(
+    gps_corpus: Sequence[GpsTrajectory],
+    net: RoadNetwork,
+    cfg: PrivacyConfig,
+    match_cfg: MatchConfig = MatchConfig(),
+    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
+    window: Window | None = None,
+    matched: Sequence[LinkTrajectory | None] | None = None,
+    threads: int | None = None,
+) -> EndpointPlan:
+    """Match, window and count the corpus and size the buffer of every
+    fired end.
+
+    ``matched`` may carry pre-matched link trajectories aligned with
+    ``gps_corpus``.  With a ``window``, trips outside it are left out
+    before counting and reported as ``out_of_window``.
+    """
+    if matched is None:
+        matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours, threads)
+    elif len(matched) != len(gps_corpus):
+        raise ValueError("matched corpus must align with the GPS corpus")
+
+    in_window, excluded = window_matched(matched, window)
+    trips = {i: t for i, t in enumerate(in_window) if t is not None}
+    counts = compute_link_counts(trips.values())
+    repeated = detect_repeated_od(in_window) if cfg.perturb_repeated else set()
+
+    fired: dict[tuple[int, str], FiredEnd] = {}
+    for i, trip in trips.items():
+        g = gps_corpus[i]
+        for end, link, point in (
+            (ORIGIN, trip.links[0], g.origin),
+            (DESTINATION, trip.links[-1], g.destination),
+        ):
+            if counts[link] != 1 and i not in repeated:
+                continue
+            try:
+                buffer = select_radius(
+                    net,
+                    point,
+                    net.links[link].functional_class,
+                    cfg.h1,
+                    cfg.h2,
+                    cfg.initial_buffer_m,
+                    cfg.buffer_step_m,
+                    cfg.max_buffer_m,
+                )
+            except SparseNetworkError as e:
+                buffer = e
+            fired[(i, end)] = FiredEnd(link, point, buffer)
+
+    return EndpointPlan(
+        cfg=cfg,
+        trips_in=len(gps_corpus),
+        trips=trips,
+        excluded=excluded,
+        counts=counts,
+        repeated=frozenset(repeated),
+        fired=fired,
+    )
+
+
+def _snap(
+    fired: FiredEnd, end: str, net: RoadNetwork, epsilon: float, seeds: SeedRule
+) -> tuple[LinkId, NodeId]:
+    """Perturb one fired end and snap it onto its candidate set."""
+    if isinstance(fired.buffer, SparseNetworkError):
+        raise SparseNetworkError(*fired.buffer.args)
+    z = perturb(
+        fired.point,
+        NoiseParams(epsilon, fired.buffer.radius_m),
+        seeds.generator(fired.link, end),
+    )
+    return match_noisy_endpoint(z, fired.buffer.buffer_set_fc, net)
+
+
 def privatize_trajectories(
     gps_corpus: Sequence[GpsTrajectory],
     net: RoadNetwork,
@@ -150,83 +291,46 @@ def privatize_trajectories(
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     matched: Sequence[LinkTrajectory | None] | None = None,
     threads: int | None = None,
+    plan: EndpointPlan | None = None,
 ) -> tuple[dict[int, LinkTrajectory], PrivatizationReport]:
     """Run the full perturbation pipeline over a corpus.
 
     Returns the surviving privatized trips keyed by their position in
     ``gps_corpus`` plus the decision report.  ``matched`` may carry
-    pre-matched link trajectories aligned with ``gps_corpus`` to avoid
-    re-matching in parameter sweeps.
+    pre-matched link trajectories aligned with ``gps_corpus``.  ``plan``
+    may carry the plan of this corpus, built with ``cfg`` up to epsilon;
+    parameter sweeps pass one plan to every draw, and ``matched`` is then
+    not used.
     """
-    if matched is None:
-        matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours, threads)
-    elif len(matched) != len(gps_corpus):
-        raise ValueError("matched corpus must align with the GPS corpus")
+    if plan is None:
+        plan = plan_endpoints(
+            gps_corpus, net, cfg, match_cfg, utc_offset_hours, matched=matched, threads=threads
+        )
+    elif replace(cfg, epsilon=plan.cfg.epsilon) != plan.cfg:
+        raise ValueError("plan was built with a different privacy configuration")
+    elif plan.trips_in != len(gps_corpus):
+        raise ValueError("plan was built for a different corpus")
 
-    excluded: dict[str, int] = {}
+    excluded = dict(plan.excluded)
 
     def exclude(cause: str) -> None:
         excluded[cause] = excluded.get(cause, 0) + 1
 
-    for trip in matched:
-        if trip is None:
-            exclude("unmatchable")
-
-    counts = compute_link_counts(t for t in matched if t is not None)
-    repeated = detect_repeated_od(matched) if cfg.perturb_repeated else set()
     seeds = SeedRule(cfg.global_seed)
-
     out: dict[int, LinkTrajectory] = {}
     decisions: list[EndpointDecision] = []
     endpoints_perturbed = 0
 
-    for i, (g, trip) in enumerate(zip(gps_corpus, matched)):
-        if trip is None:
-            continue
-        o_link, d_link = trip.links[0], trip.links[-1]
-        fire_origin = counts[o_link] == 1 or i in repeated
-        fire_destination = counts[d_link] == 1 or i in repeated
+    for i, trip in plan.trips.items():
+        ends = [(end, plan.fired.get((i, end))) for end in (ORIGIN, DESTINATION)]
         try:
-            new_o_node = new_d_node = None
-            o_matched = d_matched = None
-            o_radius = d_radius = None
-            if fire_origin:
-                buf = select_radius(
-                    net,
-                    g.origin,
-                    net.links[o_link].functional_class,
-                    cfg.h1,
-                    cfg.h2,
-                    cfg.initial_buffer_m,
-                    cfg.buffer_step_m,
-                    cfg.max_buffer_m,
-                )
-                z = perturb(
-                    g.origin,
-                    NoiseParams(cfg.epsilon, buf.radius_m),
-                    seeds.generator(o_link, ORIGIN),
-                )
-                o_matched, new_o_node = match_noisy_endpoint(z, buf.buffer_set_fc, net)
-                o_radius = buf.radius_m
-            if fire_destination:
-                buf = select_radius(
-                    net,
-                    g.destination,
-                    net.links[d_link].functional_class,
-                    cfg.h1,
-                    cfg.h2,
-                    cfg.initial_buffer_m,
-                    cfg.buffer_step_m,
-                    cfg.max_buffer_m,
-                )
-                z = perturb(
-                    g.destination,
-                    NoiseParams(cfg.epsilon, buf.radius_m),
-                    seeds.generator(d_link, DESTINATION),
-                )
-                d_matched, new_d_node = match_noisy_endpoint(z, buf.buffer_set_fc, net)
-                d_radius = buf.radius_m
-            rebuilt = rebuild_trajectory(trip, net, new_o_node, new_d_node)
+            snaps = [
+                _snap(fired, end, net, cfg.epsilon, seeds) if fired else None
+                for end, fired in ends
+            ]
+            rebuilt = rebuild_trajectory(
+                trip, net, *(snap[1] if snap else None for snap in snaps)
+            )
         except SparseNetworkError:
             exclude("sparse_network")
             continue
@@ -238,28 +342,34 @@ def privatize_trajectories(
             continue
 
         out[i] = rebuilt
-        endpoints_perturbed += int(fire_origin) + int(fire_destination)
-        decisions.append(
-            EndpointDecision(i, ORIGIN, o_link, fire_origin, o_matched, rebuilt.links[0], o_radius)
-        )
-        decisions.append(
-            EndpointDecision(
-                i, DESTINATION, d_link, fire_destination, d_matched, rebuilt.links[-1], d_radius
+        for (end, fired), snap, original, new in zip(
+            ends, snaps, (trip.links[0], trip.links[-1]), (rebuilt.links[0], rebuilt.links[-1])
+        ):
+            endpoints_perturbed += fired is not None
+            decisions.append(
+                EndpointDecision(
+                    i,
+                    end,
+                    original,
+                    fired is not None,
+                    snap[0] if snap else None,
+                    new,
+                    fired.buffer.radius_m if fired else None,
+                )
             )
-        )
 
     new_counts = compute_link_counts(out.values())
     unchanged = sum(
         1
         for dec in decisions
         if dec.perturbed
-        and counts.get(dec.original_link) == 1
+        and plan.counts.get(dec.original_link) == 1
         and dec.new_link == dec.original_link
         and new_counts.get(dec.original_link) == 1
     )
 
     report = PrivatizationReport(
-        trips_in=len(gps_corpus),
+        trips_in=plan.trips_in,
         trips_out=len(out),
         excluded=excluded,
         endpoints_perturbed=endpoints_perturbed,
@@ -279,10 +389,11 @@ def privatize_aggregate(
     matched: Sequence[LinkTrajectory | None] | None = None,
     threads: int | None = None,
 ) -> tuple[AggregatedMobilityNetwork, PrivatizationReport]:
-    """Privatize a corpus and aggregate the surviving trips."""
-    out, report = privatize_trajectories(
-        gps_corpus, net, cfg, match_cfg, utc_offset_hours, matched, threads
+    """Privatize the trips of a corpus inside ``window`` and aggregate them."""
+    plan = plan_endpoints(
+        gps_corpus, net, cfg, match_cfg, utc_offset_hours, window, matched, threads
     )
+    out, report = privatize_trajectories(gps_corpus, net, cfg, plan=plan)
     agg = aggregate(list(out.values()), window=window, source=SOURCE_DP_ANI)
     return agg, report
 

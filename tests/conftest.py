@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import dpmobility
 from dpmobility.geometry import EARTH_RADIUS_M, GeoPoint, haversine_distance
 from dpmobility.network import Link, RoadNetwork
 from dpmobility.synth import SynthCityConfig, generate_city
@@ -71,6 +74,15 @@ def trip_along_route(net: RoadNetwork, origin: str, destination: str, day_iso: s
     route = net.shortest_path(origin, destination)
     nodes = [origin] + [net.links[lid].to_node for lid in route]
     return trip_through_nodes(net, nodes, day_iso, device=device, hh=hh, mm=mm)
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """Environment for a child interpreter that imports the dpmobility
+    under test, also when it is found only through pytest's pythonpath."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(dpmobility.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ from dpmobility.privatize import PrivacyConfig, privatize_trajectories
 from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 from dpmobility.trajectories import local_day_hour
 
-from conftest import offset_point, trip_along_route
+from conftest import child_env, offset_point, trip_along_route
 from test_network import brute_force_within, enumerate_simple_paths, random_network
 
 DAYS = tuple(
@@ -234,14 +234,13 @@ class TestAcceptance:
             "--n-devices", "80", "--dates", "2026-01-06,2026-01-07",
             "--repeat-fraction", "0.05", "--seed", "42", "--out", str(trips_path),
         ]) == 0
-        import os
         import subprocess
         import sys
 
         digests = []
         for threads in ("1", "4"):
             out = tmp_path / f"run{threads}"
-            env = dict(os.environ, DP_MOBILITY_THREADS=threads)
+            env = child_env(DP_MOBILITY_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "dpmobility.cli", "compare",
                  "--network", str(net_path), "--trips", str(trips_path),

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
-from dpmobility.adaptive import select_radius
+from dpmobility.adaptive import BufferResult, select_radius
 from dpmobility.errors import SparseNetworkError
 from conftest import BASE, grid3x3, make_network, offset_point
+from test_network import random_network
 
 
 def brute_force_final_buffer(net, point, fc, h1, h2, z0=20.0, step=10.0, z_max=5000.0):
@@ -15,6 +17,79 @@ def brute_force_final_buffer(net, point, fc, h1, h2, z0=20.0, step=10.0, z_max=5
             return z, fc_ids
         z += step
     return None, None
+
+
+def probe_by_probe(net, point, fc, h1, h2, initial_buffer_m=20.0, step_m=10.0,
+                   max_buffer_m=5000.0):
+    """Reference growth loop: a fresh radius query at every probe.
+
+    Returns the expected BufferResult, or None where select_radius must
+    raise SparseNetworkError."""
+    z = initial_buffer_m
+    iterations = 0
+    while z <= max_buffer_m:
+        iterations += 1
+        all_ids = net.links_within(point, z)
+        fc_ids = frozenset(lid for lid in all_ids if net.links[lid].functional_class == fc)
+        if len(all_ids) > h1 and len(fc_ids) > h2:
+            return BufferResult(z / 2.0, fc_ids, z, iterations)
+        z += step_m
+    return None
+
+
+THRESHOLDS = ((0, 0), (8, 3), (12, 6), (20, 8), (30, 2))
+
+
+def assert_matches_probe_by_probe(net, point, fc, h1, h2, **buffers):
+    expected = probe_by_probe(net, point, fc, h1, h2, **buffers)
+    if expected is None:
+        with pytest.raises(SparseNetworkError):
+            select_radius(net, point, fc, h1, h2, **buffers)
+    else:
+        assert select_radius(net, point, fc, h1, h2, **buffers) == expected
+    return expected
+
+
+class TestMeasureOnceOracle:
+    """select_radius measures each link once; every probe must still see
+    exactly what a fresh links_within query sees."""
+
+    def test_city20(self, city20):
+        for node, east, north in (
+            ("n010_010", 0.0, 0.0),
+            ("n010_010", 37.0, 12.0),
+            ("n000_000", -15.0, 4.0),
+            ("n005_012", 51.0, -49.0),
+            ("n019_019", 3.0, 3.0),
+        ):
+            point = offset_point(city20.nodes[node], east, north)
+            for fc in (2, 4):
+                for h1, h2 in THRESHOLDS:
+                    assert assert_matches_probe_by_probe(city20, point, fc, h1, h2)
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(17)
+        # More links than these small nets hold: the buffer must give up.
+        thresholds = THRESHOLDS + ((60, 10),)
+        outcomes = []
+        for k in range(4):
+            net = random_network(rng, 12, BASE)
+            for j in range(6):
+                point = offset_point(BASE, float(rng.uniform(-200, 2200)),
+                                     float(rng.uniform(-200, 2200)))
+                fc = int(rng.integers(1, 6))
+                h1, h2 = thresholds[(k + j) % len(thresholds)]
+                for initial, step in ((20.0, 10.0), (15.0, 25.0)):
+                    outcomes.append(assert_matches_probe_by_probe(
+                        net, point, fc, h1, h2,
+                        initial_buffer_m=initial, step_m=step, max_buffer_m=1500.0,
+                    ))
+        assert any(o is None for o in outcomes)
+        assert any(o is not None and o.iterations > 5 for o in outcomes)
+
+    def test_sparse_class(self, city20):
+        point = city20.nodes["n010_011"]
+        assert assert_matches_probe_by_probe(city20, point, 2, 200, 200, max_buffer_m=400.0) is None
 
 
 class TestSelectRadius:

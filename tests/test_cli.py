@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -8,9 +7,11 @@ from dpmobility import formats
 from dpmobility.cli import main
 from dpmobility.metrics import COMPARE_COLUMNS
 
+from conftest import child_env
+
 
 def run_cli(args, threads=None):
-    env = dict(os.environ)
+    env = child_env()
     env.pop("DP_MOBILITY_THREADS", None)
     if threads is not None:
         env["DP_MOBILITY_THREADS"] = str(threads)

@@ -1,9 +1,12 @@
 from collections import Counter
+from dataclasses import replace
 from datetime import date
 
 import pytest
 
-from dpmobility.aggregate import AggregatedMobilityNetwork, Window, aggregate
+import dpmobility.metrics as metrics_module
+import dpmobility.privatize as privatize_module
+from dpmobility.aggregate import AggregatedMobilityNetwork, Window, aggregate, compute_link_counts
 from dpmobility.errors import WindowMismatchError
 from dpmobility.metrics import (
     COMPARE_COLUMNS,
@@ -22,7 +25,11 @@ from dpmobility.privatize import (
     PrivacyConfig,
     PrivatizationReport,
     baseline_trip_remove,
+    detect_repeated_od,
+    match_corpus,
+    privatize_trajectories,
 )
+from dpmobility.trajectories import window_filter
 from dpmobility.synth import SynthTripConfig, generate_trips
 from dpmobility.trajectories import LinkTrajectory
 
@@ -282,3 +289,87 @@ class TestCompare:
         reduced_agg = baseline_trip_remove(raw_trips)
         assert network_length(reduced_agg, net) <= network_length(raw_agg, net)
         assert vmt(reduced, net) <= vmt(raw_trips, net)
+
+    def test_plan_reused_across_epsilons(self, small_setup, monkeypatch):
+        net, corpus = small_setup
+        # A 100 m cap leaves some fired ends without a buffer, so the sweep
+        # also carries sparse-network exclusions.
+        cfg = PrivacyConfig(epsilon=1.0, global_seed=4, max_buffer_m=100.0)
+        epsilons = (0.05, 1.0, 15.0)
+        matched, _ = match_corpus(corpus, net)
+
+        radius_calls = []
+        real_select_radius = privatize_module.select_radius
+
+        def counting_select_radius(*args, **kwargs):
+            radius_calls.append(args[1])
+            return real_select_radius(*args, **kwargs)
+
+        real_privatize = metrics_module.privatize_trajectories
+        draws, references = [], []
+
+        def recording(*args, **kwargs):
+            result = real_privatize(*args, **kwargs)
+            draws.append(result)
+            return result
+
+        def without_plan(gps_corpus, net, cfg, plan):
+            result = real_privatize(gps_corpus, net, cfg, matched=matched)
+            references.append(result)
+            return result
+
+        monkeypatch.setattr(privatize_module, "select_radius", counting_select_radius)
+        monkeypatch.setattr(metrics_module, "privatize_trajectories", recording)
+        rows = compare(corpus, net, cfg, epsilons=epsilons, models=("dp-ani",))
+        monkeypatch.undo()
+        monkeypatch.setattr(metrics_module, "privatize_trajectories", without_plan)
+        reference_rows = compare(corpus, net, cfg, epsilons=epsilons, models=("dp-ani",))
+
+        assert rows == reference_rows
+        assert draws == references
+        assert any(report.excluded.get("sparse_network") for _, report in draws)
+        assert all(report.endpoints_perturbed for _, report in draws)
+
+        counts = compute_link_counts(t for t in matched if t is not None)
+        repeated = detect_repeated_od(matched)
+        fired = sum(
+            (counts[link] == 1 or i in repeated)
+            for i, t in enumerate(matched) if t is not None
+            for link in (t.links[0], t.links[-1])
+        )
+        assert len(radius_calls) == fired
+
+    def test_models_without_noise_size_no_buffers(self, small_setup, monkeypatch):
+        net, corpus = small_setup
+
+        def fail(*args, **kwargs):
+            raise AssertionError("select_radius called without a dp-ani model")
+
+        monkeypatch.setattr(privatize_module, "select_radius", fail)
+        rows = compare(corpus, net, PrivacyConfig(epsilon=1.0),
+                       models=("raw", "trip-remove", "od-remove", "od-successive"))
+        assert len(rows) == 4
+
+    def test_plan_must_match_the_draw(self, small_setup):
+        net, corpus = small_setup
+        cfg = PrivacyConfig(epsilon=1.0)
+        plan = privatize_module.plan_endpoints(corpus, net, cfg)
+        privatize_trajectories(corpus, net, replace(cfg, epsilon=2.0), plan=plan)
+        with pytest.raises(ValueError):
+            privatize_trajectories(corpus, net, replace(cfg, h1=9), plan=plan)
+        with pytest.raises(ValueError):
+            privatize_trajectories(corpus[1:], net, cfg, plan=plan)
+
+    def test_window_applies_before_every_model(self, small_setup):
+        # small_setup spans a Tuesday and a Wednesday; release Tuesdays only.
+        net, corpus = small_setup
+        window = Window((13, 14), frozenset({"T"}))
+        cfg = PrivacyConfig(epsilon=1.0, global_seed=5)
+        in_window = window_filter(corpus, window.hours, window.days, -8.0)
+        assert 0 < len(in_window) < len(corpus)
+        rows = compare(corpus, net, cfg, epsilons=(1.0,), window=window)
+        prefiltered = compare(in_window, net, cfg, epsilons=(1.0,), window=window)
+        left_out = len(corpus) - len(in_window)
+        for row, expected in zip(rows, prefiltered, strict=True):
+            assert row["trips_excluded"] == expected["trips_excluded"] + left_out
+            assert {**row, "trips_excluded": None} == {**expected, "trips_excluded": None}

@@ -1,9 +1,12 @@
 import itertools
 from collections import Counter
+from dataclasses import replace
 from datetime import date
 
-from dpmobility.aggregate import compute_link_counts
+from dpmobility.aggregate import Window, compute_link_counts
 from dpmobility.privatize import (
+    DESTINATION,
+    ORIGIN,
     PrivacyConfig,
     detect_repeated_od,
     match_corpus,
@@ -199,6 +202,48 @@ class TestPrivatizePipeline:
                     and new_counts.get(dec.original_link) == 1):
                 survivors += 1
         assert report.endpoints_unchanged_single_count == survivors
+
+
+class TestWindowBeforeCounting:
+    def test_rule_holds_for_the_released_window(self, city20):
+        # Trips on a Monday and a Tuesday, released for Tuesdays only.  A
+        # link traversed once on Tuesday and again on Monday has an
+        # in-window count of 1, so its Tuesday endpoint must be perturbed.
+        cfg_trips = SynthTripConfig(n_trips=300, n_devices=150,
+                                    days=(date(2026, 1, 5), date(2026, 1, 6)), seed=42)
+        corpus, _ = generate_trips(city20, cfg_trips)
+        window = Window((13, 14), frozenset({"T"}))
+        matched, _ = match_corpus(corpus, city20)
+        in_window = [t if t is not None and window.contains(t) else None for t in matched]
+        counts = compute_link_counts(t for t in in_window if t is not None)
+        repeated = detect_repeated_od(in_window)
+        cfg = PrivacyConfig(epsilon=1.0)
+        agg, report = privatize_aggregate(corpus, city20, cfg, window=window, matched=matched)
+
+        required = {
+            (i, end)
+            for i, t in enumerate(in_window) if t is not None
+            for end, link in ((ORIGIN, t.links[0]), (DESTINATION, t.links[-1]))
+            if counts[link] == 1 or i in repeated
+        }
+        released = {(d.trip, d.end) for d in report.decisions}
+        perturbed = {(d.trip, d.end) for d in report.decisions if d.perturbed}
+        assert required & released
+        assert perturbed == required & released
+        assert {trip for trip, _ in released} <= {i for i, t in enumerate(in_window) if t}
+        assert report.excluded["out_of_window"] == sum(
+            1 for t in matched if t is not None and not window.contains(t)
+        )
+        assert report.trips_out + report.trips_excluded == report.trips_in
+
+        # Filtering the corpus to the window first releases the same result.
+        kept = [i for i, t in enumerate(in_window) if t is not None]
+        agg_kept, report_kept = privatize_aggregate(
+            [corpus[i] for i in kept], city20, cfg, window=window,
+            matched=[matched[i] for i in kept],
+        )
+        assert agg_kept.counts == agg.counts
+        assert [replace(d, trip=kept[d.trip]) for d in report_kept.decisions] == report.decisions
 
 
 class TestBaselines:
