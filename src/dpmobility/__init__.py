@@ -45,9 +45,6 @@ from .privatize import (
     EndpointPlan,
     PrivacyConfig,
     PrivatizationReport,
-    baseline_od_remove,
-    baseline_od_successive_remove,
-    baseline_trip_remove,
     detect_repeated_od,
     od_remove,
     od_successive_remove,

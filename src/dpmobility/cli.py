@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 failed verification, 2 bad inputs or usage,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -40,18 +39,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_EMPTY_WINDOW = 3
 
 VERIFY_REFERENCE_POINT = GeoPoint(37.80, -122.30)
-
-
-def _threads() -> int | None:
-    """Parallelism cap from DP_MOBILITY_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("DP_MOBILITY_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise DpMobilityError(f"DP_MOBILITY_THREADS must be an integer, got {raw!r}") from e
-    if n < 0:
-        raise DpMobilityError("DP_MOBILITY_THREADS must be >= 0")
-    return (os.cpu_count() or 1) if n == 0 else n
 
 
 def _parse_hour_window(text: str) -> tuple[int, int]:
@@ -152,7 +139,7 @@ def cmd_privatize(args) -> int:
     cfg = _privacy_config(args, args.epsilon)
     match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
     agg, report = privatize_aggregate(
-        corpus, net, cfg, match_cfg, args.utc_offset, window=window, threads=_threads()
+        corpus, net, cfg, match_cfg, args.utc_offset, window=window
     )
     if not agg.counts:
         print("privatization left no trips in the window", file=sys.stderr)
@@ -196,7 +183,6 @@ def cmd_compare(args) -> int:
         match_cfg=match_cfg,
         utc_offset_hours=args.utc_offset,
         window=window,
-        threads=_threads(),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,7 +202,7 @@ def cmd_aggregate(args) -> int:
         print("no trips in the requested window", file=sys.stderr)
         return EXIT_EMPTY_WINDOW
     match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
-    matched, _ = match_corpus(corpus, net, match_cfg, args.utc_offset, threads=_threads())
+    matched, _ = match_corpus(corpus, net, match_cfg, args.utc_offset)
     trips = [t for t in matched if t is not None]
     if not trips:
         print("no matchable trips in the requested window", file=sys.stderr)
@@ -242,7 +228,7 @@ def cmd_metrics(args) -> int:
         print("no trips in the requested window", file=sys.stderr)
         return EXIT_EMPTY_WINDOW
     match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
-    matched, n_bad = match_corpus(corpus, net, match_cfg, args.utc_offset, threads=_threads())
+    matched, n_bad = match_corpus(corpus, net, match_cfg, args.utc_offset)
     trips = [t for t in matched if t is not None]
     if not trips:
         print("no matchable trips in the requested window", file=sys.stderr)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from typing import Mapping, Sequence
 
 from .aggregate import AggregatedMobilityNetwork, Window, aggregate
@@ -12,11 +11,7 @@ from .matching import MatchConfig
 from .network import LinkId, NodeId, RoadNetwork
 from .privatize import (
     _BASELINES,
-    DESTINATION,
-    ORIGIN,
-    EndpointDecision,
     PrivacyConfig,
-    PrivatizationReport,
     SOURCE_DP_ANI,
     match_corpus,
     plan_endpoints,
@@ -112,15 +107,16 @@ def unchanged_single_count_od(
     raw: AggregatedMobilityNetwork,
     raw_ods: Mapping[int, tuple[LinkId, LinkId]],
     privatized: AggregatedMobilityNetwork,
-    report: PrivatizationReport,
+    released: Mapping[int, LinkTrajectory],
 ) -> tuple[int, float]:
     """Count raw single-count endpoint links surviving privatization.
 
-    A link counts as unchanged when it was the origin or destination link
-    of a trip with a raw count of one, and after privatization it is still
-    that trip's endpoint link with a count of one.  The ratio is the
-    privatized fraction, 1 - unchanged/total (1.0 when there was nothing
-    to privatize).
+    ``raw_ods`` and ``released`` are keyed by corpus position; a trip
+    missing from ``released`` was dropped.  A link counts as unchanged when
+    it was the origin or destination link of a trip with a raw count of
+    one, and after privatization it is still that trip's endpoint link
+    with a count of one.  The ratio is the privatized fraction,
+    1 - unchanged/total (1.0 when there was nothing to privatize).
     """
     if raw.window != privatized.window:
         raise WindowMismatchError(
@@ -132,41 +128,17 @@ def unchanged_single_count_od(
         for lid in od
         if raw.counts.get(lid) == 1
     }
-    new_link = {(d.trip, d.end): d.new_link for d in report.decisions}
     unchanged = set()
     for trip, (o_link, d_link) in raw_ods.items():
-        if o_link in single and new_link.get((trip, ORIGIN)) == o_link:
-            if privatized.counts.get(o_link) == 1:
-                unchanged.add(o_link)
-        if d_link in single and new_link.get((trip, DESTINATION)) == d_link:
-            if privatized.counts.get(d_link) == 1:
-                unchanged.add(d_link)
+        t = released.get(trip)
+        if t is None:
+            continue
+        for old, new in ((o_link, t.links[0]), (d_link, t.links[-1])):
+            if old in single and new == old and privatized.counts.get(old) == 1:
+                unchanged.add(old)
     total = len(single)
     ratio = 1.0 - len(unchanged) / total if total else 1.0
     return len(unchanged), ratio
-
-
-def _identity_report(
-    raw_ods: Mapping[int, tuple[LinkId, LinkId]],
-    transformed: Mapping[int, LinkTrajectory],
-    trips_in: int,
-) -> PrivatizationReport:
-    """Decision list equivalent for removal-style models: surviving trips
-    keep their clipped endpoint links, dropped trips have no decisions."""
-    decisions = []
-    for trip, t in transformed.items():
-        o_link, d_link = raw_ods[trip]
-        decisions.append(EndpointDecision(trip, ORIGIN, o_link, False, None, t.links[0], None))
-        decisions.append(
-            EndpointDecision(trip, DESTINATION, d_link, False, None, t.links[-1], None)
-        )
-    dropped = trips_in - len(transformed)
-    return PrivatizationReport(
-        trips_in=trips_in,
-        trips_out=len(transformed),
-        excluded={"removed": dropped} if dropped else {},
-        decisions=decisions,
-    )
 
 
 def compare(
@@ -178,7 +150,6 @@ def compare(
     match_cfg: MatchConfig = MatchConfig(),
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
-    threads: int | None = None,
 ) -> list[dict]:
     """Run every requested model and emit one metrics row per run.
 
@@ -191,7 +162,7 @@ def compare(
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
 
-    matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours, threads)
+    matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours)
     in_window, _ = window_matched(matched, window)
     raw_trips = {i: t for i, t in enumerate(in_window) if t is not None}
     raw_corpus = list(raw_trips.values())
@@ -214,8 +185,7 @@ def compare(
     rows = []
     for model in models:
         if model == MODEL_RAW:
-            raw_report = _identity_report(raw_ods, raw_trips, len(gps_corpus))
-            unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, raw_agg, raw_report)
+            unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, raw_agg, raw_trips)
             excluded = len(gps_corpus) - len(raw_corpus)
             rows.append(row(model, None, raw_corpus, raw_agg, unchanged, ratio, excluded))
         elif model in _BASELINES:
@@ -226,8 +196,7 @@ def compare(
             }
             corpus = list(transformed.values())
             agg = aggregate(corpus, window=window, source=model)
-            report = _identity_report(raw_ods, transformed, len(gps_corpus))
-            unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, agg, report)
+            unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, agg, transformed)
             rows.append(
                 row(model, None, corpus, agg, unchanged, ratio, len(gps_corpus) - len(corpus))
             )
@@ -236,12 +205,10 @@ def compare(
                 gps_corpus, net, cfg, match_cfg, utc_offset_hours, window, matched
             )
             for eps in epsilons:
-                out, report = privatize_trajectories(
-                    gps_corpus, net, replace(cfg, epsilon=eps), plan=plan
-                )
+                out, report = privatize_trajectories(plan, net, eps)
                 corpus = list(out.values())
                 agg = aggregate(corpus, window=window, source=SOURCE_DP_ANI)
-                unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, agg, report)
+                unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, agg, out)
                 rows.append(
                     row(SOURCE_DP_ANI, eps, corpus, agg, unchanged, ratio, report.trips_excluded)
                 )

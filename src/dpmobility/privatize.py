@@ -8,15 +8,15 @@ same-class candidate link near the original endpoint, and re-routes only
 the affected trip end.  Each draw is seeded from the endpoint's link id, so
 results are independent of processing order and identical across runs.
 
-A run has two stages.  The plan (:func:`plan_endpoints`) holds everything
-that does not depend on epsilon: the matched trips inside the window, their
-link counts and repeated-OD flags, which ends fire, and each fired end's
-buffer radius and candidate set.  The window applies here, before counting,
-so the rule above holds for exactly the population that is released;
-trips outside it are excluded as ``out_of_window``.  The draw
-(:func:`privatize_trajectories`) takes a plan and one epsilon and only
-perturbs, snaps and re-routes, so an epsilon sweep builds one plan and
-draws from it once per epsilon.
+Every run has two stages.  The plan (:func:`plan_endpoints`) holds
+everything that does not depend on epsilon: the matched trips inside the
+window, their link counts and repeated-OD flags, which ends fire, and each
+fired end's buffer radius and candidate set.  The window applies here,
+before counting, so the rule above holds for exactly the population that is
+released; trips outside it are excluded as ``out_of_window``.  The draw
+(:func:`privatize_trajectories`) takes nothing but a plan, the network and
+one epsilon; it perturbs, snaps and re-routes, so an epsilon sweep builds
+one plan and draws from it once per epsilon.
 
 Adding or removing a single link traversal changes the aggregated output by
 one count, so noise is calibrated for unit sensitivity.
@@ -28,7 +28,6 @@ endpoint links, and clipping runs of unique links inward from both ends.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -97,6 +96,17 @@ class EndpointDecision:
 
 @dataclass
 class PrivatizationReport:
+    """Accounting of one draw.
+
+    ``endpoints_unchanged_single_count`` counts perturbed endpoint
+    decisions whose link had a count of one before the draw, is still the
+    trip's end link after it, and still has a count of one.  It counts
+    decisions, not links: a one-link trip on a single-count link adds two
+    here but one to :func:`metrics.unchanged_single_count_od`, which
+    counts distinct links.  It is kept because the summary preamble of
+    ``privatization_report.csv`` records it.
+    """
+
     trips_in: int
     trips_out: int
     excluded: dict[str, int] = field(default_factory=dict)
@@ -129,13 +139,11 @@ def match_corpus(
     net: RoadNetwork,
     match_cfg: MatchConfig = MatchConfig(),
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
-    threads: int | None = None,
 ) -> tuple[list[LinkTrajectory | None], int]:
-    """Match every trip, keeping input positions; unmatchable become None.
+    """Match every trip in input order, keeping input positions;
+    unmatchable trips become None.
 
-    Returns (aligned list, number of unmatchable trips).  With ``threads``
-    > 1 the trips are matched by a thread pool; results are merged in input
-    order, so the outcome does not depend on scheduling.
+    Returns (aligned list, number of unmatchable trips).
     """
 
     def one(g: GpsTrajectory) -> LinkTrajectory | None:
@@ -144,11 +152,7 @@ def match_corpus(
         except UnmatchableError:
             return None
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            matched = list(pool.map(one, gps_corpus))
-    else:
-        matched = [one(g) for g in gps_corpus]
+    matched = [one(g) for g in gps_corpus]
     return matched, sum(1 for m in matched if m is None)
 
 
@@ -195,7 +199,8 @@ class EndpointPlan:
     ``fired`` holds every end that the rule perturbs, keyed by (trip
     position, ORIGIN or DESTINATION).  ``excluded`` counts the trips
     dropped before any draw.  ``cfg`` is the configuration the plan was
-    built with; only its epsilon may differ in a draw.
+    built with; a draw takes its noise seed from it and its epsilon as an
+    argument.
     """
 
     cfg: PrivacyConfig
@@ -215,7 +220,6 @@ def plan_endpoints(
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
     matched: Sequence[LinkTrajectory | None] | None = None,
-    threads: int | None = None,
 ) -> EndpointPlan:
     """Match, window and count the corpus and size the buffer of every
     fired end.
@@ -225,7 +229,7 @@ def plan_endpoints(
     before counting and reported as ``out_of_window``.
     """
     if matched is None:
-        matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours, threads)
+        matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours)
     elif len(matched) != len(gps_corpus):
         raise ValueError("matched corpus must align with the GPS corpus")
 
@@ -284,39 +288,23 @@ def _snap(
 
 
 def privatize_trajectories(
-    gps_corpus: Sequence[GpsTrajectory],
-    net: RoadNetwork,
-    cfg: PrivacyConfig,
-    match_cfg: MatchConfig = MatchConfig(),
-    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
-    matched: Sequence[LinkTrajectory | None] | None = None,
-    threads: int | None = None,
-    plan: EndpointPlan | None = None,
+    plan: EndpointPlan, net: RoadNetwork, epsilon: float
 ) -> tuple[dict[int, LinkTrajectory], PrivatizationReport]:
-    """Run the full perturbation pipeline over a corpus.
+    """Draw one release from ``plan`` at privacy level ``epsilon``.
 
-    Returns the surviving privatized trips keyed by their position in
-    ``gps_corpus`` plus the decision report.  ``matched`` may carry
-    pre-matched link trajectories aligned with ``gps_corpus``.  ``plan``
-    may carry the plan of this corpus, built with ``cfg`` up to epsilon;
-    parameter sweeps pass one plan to every draw, and ``matched`` is then
-    not used.
+    Perturbs, snaps and re-routes every fired end, seeded by the plan's
+    ``global_seed``.  Returns the surviving privatized trips keyed by their
+    position in the planned corpus plus the decision report.
     """
-    if plan is None:
-        plan = plan_endpoints(
-            gps_corpus, net, cfg, match_cfg, utc_offset_hours, matched=matched, threads=threads
-        )
-    elif replace(cfg, epsilon=plan.cfg.epsilon) != plan.cfg:
-        raise ValueError("plan was built with a different privacy configuration")
-    elif plan.trips_in != len(gps_corpus):
-        raise ValueError("plan was built for a different corpus")
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive: {epsilon}")
 
     excluded = dict(plan.excluded)
 
     def exclude(cause: str) -> None:
         excluded[cause] = excluded.get(cause, 0) + 1
 
-    seeds = SeedRule(cfg.global_seed)
+    seeds = SeedRule(plan.cfg.global_seed)
     out: dict[int, LinkTrajectory] = {}
     decisions: list[EndpointDecision] = []
     endpoints_perturbed = 0
@@ -325,7 +313,7 @@ def privatize_trajectories(
         ends = [(end, plan.fired.get((i, end))) for end in (ORIGIN, DESTINATION)]
         try:
             snaps = [
-                _snap(fired, end, net, cfg.epsilon, seeds) if fired else None
+                _snap(fired, end, net, epsilon, seeds) if fired else None
                 for end, fired in ends
             ]
             rebuilt = rebuild_trajectory(
@@ -387,13 +375,10 @@ def privatize_aggregate(
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
     matched: Sequence[LinkTrajectory | None] | None = None,
-    threads: int | None = None,
 ) -> tuple[AggregatedMobilityNetwork, PrivatizationReport]:
     """Privatize the trips of a corpus inside ``window`` and aggregate them."""
-    plan = plan_endpoints(
-        gps_corpus, net, cfg, match_cfg, utc_offset_hours, window, matched, threads
-    )
-    out, report = privatize_trajectories(gps_corpus, net, cfg, plan=plan)
+    plan = plan_endpoints(gps_corpus, net, cfg, match_cfg, utc_offset_hours, window, matched)
+    out, report = privatize_trajectories(plan, net, cfg.epsilon)
     agg = aggregate(list(out.values()), window=window, source=SOURCE_DP_ANI)
     return agg, report
 
@@ -444,28 +429,3 @@ _BASELINES = {
     SOURCE_OD_SUCCESSIVE: od_successive_remove,
 }
 
-
-def baseline_aggregate(
-    name: str, corpus: Sequence[LinkTrajectory], window: Window | None = None
-) -> AggregatedMobilityNetwork:
-    """Aggregate of one removal-style anonymizer; ``name`` is its source tag."""
-    transformed = _BASELINES[name](corpus)
-    return aggregate([t for t in transformed if t is not None], window=window, source=name)
-
-
-def baseline_trip_remove(
-    corpus: Sequence[LinkTrajectory], window: Window | None = None
-) -> AggregatedMobilityNetwork:
-    return baseline_aggregate(SOURCE_TRIP_REMOVE, corpus, window)
-
-
-def baseline_od_remove(
-    corpus: Sequence[LinkTrajectory], window: Window | None = None
-) -> AggregatedMobilityNetwork:
-    return baseline_aggregate(SOURCE_OD_REMOVE, corpus, window)
-
-
-def baseline_od_successive_remove(
-    corpus: Sequence[LinkTrajectory], window: Window | None = None
-) -> AggregatedMobilityNetwork:
-    return baseline_aggregate(SOURCE_OD_SUCCESSIVE, corpus, window)

@@ -10,11 +10,8 @@ from dpmobility.metrics import COMPARE_COLUMNS
 from conftest import child_env
 
 
-def run_cli(args, threads=None):
-    env = child_env()
-    env.pop("DP_MOBILITY_THREADS", None)
-    if threads is not None:
-        env["DP_MOBILITY_THREADS"] = str(threads)
+def run_cli(args, **env_overrides):
+    env = child_env(**env_overrides)
     return subprocess.run(
         [sys.executable, "-m", "dpmobility.cli", *args],
         capture_output=True, text=True, env=env,
@@ -122,16 +119,24 @@ class TestCompareCommand:
         ])
         assert code == 2
 
-    def test_byte_identical_across_thread_counts(self, inputs, tmp_path):
+    def test_nonpositive_epsilon_exit_2(self, inputs, tmp_path):
+        _, net, trips, _ = inputs
+        code = main([
+            "compare", "--network", str(net), "--trips", str(trips),
+            "--epsilons", "0", "--days", "T,W", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+
+    def test_byte_identical_across_reruns(self, inputs, tmp_path):
         _, net, trips, _ = inputs
         outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"cmp{threads}"
+        for run in ("1", "2"):
+            out = tmp_path / f"cmp{run}"
             r = run_cli([
                 "compare", "--network", str(net), "--trips", str(trips),
                 "--epsilons", "0.05,15", "--seed", "3", "--days", "T,W",
                 "--out", str(out),
-            ], threads=threads)
+            ], PYTHONHASHSEED=run)
             assert r.returncode == 0, r.stderr
             outs.append(out)
         assert (outs[0] / "compare.csv").read_bytes() == (outs[1] / "compare.csv").read_bytes()

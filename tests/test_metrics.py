@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -19,14 +18,10 @@ from dpmobility.metrics import (
     vmt,
 )
 from dpmobility.privatize import (
-    DESTINATION,
-    ORIGIN,
-    EndpointDecision,
     PrivacyConfig,
-    PrivatizationReport,
-    baseline_trip_remove,
     detect_repeated_od,
     match_corpus,
+    plan_endpoints,
     privatize_trajectories,
 )
 from dpmobility.trajectories import window_filter
@@ -173,22 +168,12 @@ class TestIntersectionDensity:
         assert density == oracle
 
 
-def identity_report(ods, trips):
-    decisions = []
-    for i, (o, d) in ods.items():
-        t = trips[i]
-        decisions.append(EndpointDecision(i, ORIGIN, o, False, None, t.links[0], None))
-        decisions.append(EndpointDecision(i, DESTINATION, d, False, None, t.links[-1], None))
-    return PrivatizationReport(trips_in=len(ods), trips_out=len(trips), decisions=decisions)
-
-
 class TestUnchangedSingleCountOd:
     def test_identity_run_gives_ratio_zero(self):
         trips = {0: lt(["a", "b"]), 1: lt(["c", "d"])}
         agg = aggregate(list(trips.values()))
         ods = {i: (t.links[0], t.links[-1]) for i, t in trips.items()}
-        report = identity_report(ods, trips)
-        unchanged, ratio = unchanged_single_count_od(agg, ods, agg, report)
+        unchanged, ratio = unchanged_single_count_od(agg, ods, agg, trips)
         assert unchanged == 4
         assert ratio == 0.0
 
@@ -198,8 +183,7 @@ class TestUnchangedSingleCountOd:
         raw_agg = aggregate(list(raw.values()))
         priv_agg = aggregate(list(moved.values()), source="dp-ani")
         ods = {i: (t.links[0], t.links[-1]) for i, t in raw.items()}
-        report = identity_report(ods, moved)
-        unchanged, ratio = unchanged_single_count_od(raw_agg, ods, priv_agg, report)
+        unchanged, ratio = unchanged_single_count_od(raw_agg, ods, priv_agg, moved)
         assert unchanged == 0
         assert ratio == 1.0
 
@@ -209,27 +193,37 @@ class TestUnchangedSingleCountOd:
         raw_agg = aggregate(list(trips.values()), window=Window((13, 14), frozenset({"T"})))
         priv_agg = aggregate(list(trips.values()), window=Window((12, 13), frozenset({"T"})))
         with pytest.raises(WindowMismatchError):
-            unchanged_single_count_od(raw_agg, ods, priv_agg, identity_report(ods, trips))
+            unchanged_single_count_od(raw_agg, ods, priv_agg, trips)
 
     def test_cross_check_against_privatization_report(self, city20):
-        from dpmobility.privatize import match_corpus, privatize_trajectories
-
         cfg = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=25)
         corpus, _ = generate_trips(city20, cfg)
         matched, _ = match_corpus(corpus, city20)
         raw_trips = {i: t for i, t in enumerate(matched) if t is not None}
         raw_agg = aggregate(list(raw_trips.values()))
         ods = {i: (t.links[0], t.links[-1]) for i, t in raw_trips.items()}
-        out, report = privatize_trajectories(
-            corpus, city20, PrivacyConfig(epsilon=2.0, global_seed=6), matched=matched
-        )
-        priv_agg = aggregate(list(out.values()), source="dp-ani")
-        unchanged, ratio = unchanged_single_count_od(raw_agg, ods, priv_agg, report)
-        # links counted here are endpoint decisions that stayed in place
-        assert unchanged <= report.endpoints_unchanged_single_count + 1
         singles = {l for od in ods.values() for l in od if raw_agg.counts[l] == 1}
-        assert 0 <= unchanged <= len(singles)
-        assert ratio == pytest.approx(1 - unchanged / len(singles))
+        # Each of these draws releases a one-link trip on a single-count link
+        # in place: two counted decisions, one unchanged link.
+        for epsilon, seed in ((2.0, 6), (2.0, 0), (15.0, 0)):
+            plan = plan_endpoints(corpus, city20,
+                                  PrivacyConfig(epsilon=epsilon, global_seed=seed),
+                                  matched=matched)
+            out, report = privatize_trajectories(plan, city20, epsilon)
+            priv_agg = aggregate(list(out.values()), source="dp-ani")
+            unchanged, ratio = unchanged_single_count_od(raw_agg, ods, priv_agg, out)
+            # The report counts decisions; the metric counts their distinct links.
+            counted = [
+                d for d in report.decisions
+                if d.perturbed and raw_agg.counts.get(d.original_link) == 1
+                and d.new_link == d.original_link
+                and priv_agg.counts.get(d.original_link) == 1
+            ]
+            assert len(counted) == report.endpoints_unchanged_single_count
+            assert unchanged == len({d.original_link for d in counted})
+            assert unchanged < report.endpoints_unchanged_single_count
+            assert 0 <= unchanged <= len(singles)
+            assert ratio == pytest.approx(1 - unchanged / len(singles))
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +280,7 @@ class TestCompare:
         raw_trips = [t for t in matched if t is not None]
         raw_agg = aggregate(raw_trips)
         reduced = [t for t in trip_remove(raw_trips) if t is not None]
-        reduced_agg = baseline_trip_remove(raw_trips)
+        reduced_agg = aggregate(reduced, source="trip-remove")
         assert network_length(reduced_agg, net) <= network_length(raw_agg, net)
         assert vmt(reduced, net) <= vmt(raw_trips, net)
 
@@ -313,8 +307,8 @@ class TestCompare:
             draws.append(result)
             return result
 
-        def without_plan(gps_corpus, net, cfg, plan):
-            result = real_privatize(gps_corpus, net, cfg, matched=matched)
+        def fresh_plan(plan, net, epsilon):
+            result = real_privatize(plan_endpoints(corpus, net, cfg, matched=matched), net, epsilon)
             references.append(result)
             return result
 
@@ -322,7 +316,7 @@ class TestCompare:
         monkeypatch.setattr(metrics_module, "privatize_trajectories", recording)
         rows = compare(corpus, net, cfg, epsilons=epsilons, models=("dp-ani",))
         monkeypatch.undo()
-        monkeypatch.setattr(metrics_module, "privatize_trajectories", without_plan)
+        monkeypatch.setattr(metrics_module, "privatize_trajectories", fresh_plan)
         reference_rows = compare(corpus, net, cfg, epsilons=epsilons, models=("dp-ani",))
 
         assert rows == reference_rows
@@ -350,15 +344,10 @@ class TestCompare:
                        models=("raw", "trip-remove", "od-remove", "od-successive"))
         assert len(rows) == 4
 
-    def test_plan_must_match_the_draw(self, small_setup):
+    def test_nonpositive_epsilon_rejected(self, small_setup):
         net, corpus = small_setup
-        cfg = PrivacyConfig(epsilon=1.0)
-        plan = privatize_module.plan_endpoints(corpus, net, cfg)
-        privatize_trajectories(corpus, net, replace(cfg, epsilon=2.0), plan=plan)
         with pytest.raises(ValueError):
-            privatize_trajectories(corpus, net, replace(cfg, h1=9), plan=plan)
-        with pytest.raises(ValueError):
-            privatize_trajectories(corpus[1:], net, cfg, plan=plan)
+            compare(corpus, net, PrivacyConfig(epsilon=1.0), epsilons=(0.0,))
 
     def test_window_applies_before_every_model(self, small_setup):
         # small_setup spans a Tuesday and a Wednesday; release Tuesdays only.

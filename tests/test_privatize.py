@@ -3,6 +3,8 @@ from collections import Counter
 from dataclasses import replace
 from datetime import date
 
+import pytest
+
 from dpmobility.aggregate import Window, compute_link_counts
 from dpmobility.privatize import (
     DESTINATION,
@@ -12,6 +14,7 @@ from dpmobility.privatize import (
     match_corpus,
     od_remove,
     od_successive_remove,
+    plan_endpoints,
     privatize_aggregate,
     privatize_trajectories,
     trip_remove,
@@ -27,6 +30,12 @@ DAYS = ("2026-01-06", "2026-01-07", "2026-01-08", "2026-01-13", "2026-01-14", "2
 def lt(links, device="d", day="2026-01-06", hour=13):
     return LinkTrajectory(device=device, day=date.fromisoformat(day), hour=hour,
                           links=tuple(links))
+
+
+def draw(corpus, net, cfg, matched=None):
+    """One release of ``corpus`` at ``cfg.epsilon``, from a fresh plan."""
+    plan = plan_endpoints(corpus, net, cfg, matched=matched)
+    return privatize_trajectories(plan, net, cfg.epsilon)
 
 
 class TestLinkCounts:
@@ -99,15 +108,23 @@ class TestPrivatizePipeline:
         assert agg.counts == compute_link_counts(matched)
         assert report.trips_in == report.trips_out == 2
 
+    def test_draw_rejects_nonpositive_epsilon(self, city20):
+        # Nothing fires in this corpus, so only the draw itself can reject.
+        t1 = trip_along_route(city20, "n011_011", "n011_014", DAYS[0], device="da")
+        t2 = trip_along_route(city20, "n011_011", "n011_014", DAYS[0], device="db", hh=13, mm=50)
+        plan = plan_endpoints([t1, t2], city20, PrivacyConfig(epsilon=1.0))
+        assert plan.fired == {}
+        for epsilon in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                privatize_trajectories(plan, city20, epsilon)
+
     def test_unique_origin_moves_across_seeds(self, city20):
         trip = trip_along_route(city20, "n011_011", "n011_014", DAYS[0])
         matched, _ = match_corpus([trip], city20)
         original = matched[0].links[0]
         moved = 0
         for seed in range(100):
-            out, _ = privatize_trajectories(
-                [trip], city20, PrivacyConfig(epsilon=0.05, global_seed=seed)
-            )
+            out, _ = draw([trip], city20, PrivacyConfig(epsilon=0.05, global_seed=seed))
             if out and out[0].links[0] != original:
                 moved += 1
         assert moved >= 90
@@ -119,9 +136,7 @@ class TestPrivatizePipeline:
         matched, _ = match_corpus(corpus, city20)
         counts = compute_link_counts(t for t in matched if t is not None)
         repeated = detect_repeated_od(matched)
-        _, report = privatize_trajectories(
-            corpus, city20, PrivacyConfig(epsilon=1.0, global_seed=5), matched=matched
-        )
+        _, report = draw(corpus, city20, PrivacyConfig(epsilon=1.0, global_seed=5), matched)
         for dec in report.decisions:
             trip = matched[dec.trip]
             should_fire = counts[dec.original_link] == 1 or dec.trip in repeated
@@ -136,7 +151,7 @@ class TestPrivatizePipeline:
         cfg_trips = SynthTripConfig(n_trips=120, n_devices=60, days=(date(2026, 1, 6),),
                                     repeat_fraction=0.1, seed=12)
         corpus, _ = generate_trips(city20, cfg_trips)
-        _, report = privatize_trajectories(corpus, city20, PrivacyConfig(epsilon=0.1, global_seed=3))
+        _, report = draw(corpus, city20, PrivacyConfig(epsilon=0.1, global_seed=3))
         perturbed = [d for d in report.decisions if d.perturbed]
         assert perturbed
         for dec in perturbed:
@@ -157,9 +172,7 @@ class TestPrivatizePipeline:
             trip_along_route(city20, "n011_011", "n011_014", day, device="commuter")
             for day in DAYS
         ]
-        out, report = privatize_trajectories(
-            trips, city20, PrivacyConfig(epsilon=0.5, global_seed=1)
-        )
+        out, report = draw(trips, city20, PrivacyConfig(epsilon=0.5, global_seed=1))
         assert report.endpoints_perturbed == 2 * len(trips)
         ods = {(t.links[0], t.links[-1]) for t in out.values()}
         assert len(ods) == 1
@@ -170,10 +183,10 @@ class TestPrivatizePipeline:
             for day in DAYS
         ]
         matched, _ = match_corpus(trips, city20)
-        out, report = privatize_trajectories(
+        out, report = draw(
             trips, city20,
             PrivacyConfig(epsilon=0.5, global_seed=1, perturb_repeated=False),
-            matched=matched,
+            matched,
         )
         assert report.endpoints_perturbed == 0
         assert all(out[i].links == matched[i].links for i in out)
@@ -181,7 +194,7 @@ class TestPrivatizePipeline:
     def test_report_accounting(self, city20):
         cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=14)
         corpus, _ = generate_trips(city20, cfg_trips)
-        _, report = privatize_trajectories(corpus, city20, PrivacyConfig(epsilon=0.05, global_seed=9))
+        _, report = draw(corpus, city20, PrivacyConfig(epsilon=0.05, global_seed=9))
         assert report.trips_out + report.trips_excluded == report.trips_in
 
     def test_single_count_postcondition(self, city20):
@@ -191,9 +204,7 @@ class TestPrivatizePipeline:
         corpus, _ = generate_trips(city20, cfg_trips)
         matched, _ = match_corpus(corpus, city20)
         counts = compute_link_counts(t for t in matched if t is not None)
-        out, report = privatize_trajectories(
-            corpus, city20, PrivacyConfig(epsilon=5.0, global_seed=2), matched=matched
-        )
+        out, report = draw(corpus, city20, PrivacyConfig(epsilon=5.0, global_seed=2), matched)
         new_counts = compute_link_counts(out.values())
         survivors = 0
         for dec in report.decisions:
