@@ -34,8 +34,8 @@ class MatchConfig:
     max_node_skip: int = 3
 
     def __post_init__(self):
-        if self.snap_radius_m <= 0.0:
-            raise ValueError("snap radius must be positive")
+        if not (self.snap_radius_m > 0.0):
+            raise ValueError(f"snap radius must be positive: {self.snap_radius_m}")
         if self.max_node_skip < 0:
             raise ValueError("max_node_skip must be >= 0")
 

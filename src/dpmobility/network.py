@@ -1,9 +1,13 @@
 """Directed road network: link attributes, spatial queries, shortest paths.
 
 The network is immutable after construction.  Radius queries run against a
-uniform grid index over the link geometries (cell size 100 m); candidate
-sets from the grid are always re-filtered with exact distances, so the
-index only affects speed, never results.
+uniform grid index over nodes and link geometries (cell size 100 m) laid
+out in one equirectangular frame around the network's mean point.  A query
+reads the smallest box of cells that provably holds everything within its
+radius, by great-circle distance for nodes and by planar distance in the
+query point's own frame for links (see ``RoadNetwork._cells_in_range``),
+and re-filters that candidate set with the exact distance.  The index
+therefore only affects speed, never results.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NetworkError, NoCandidateError, NoPathError
 from .geometry import (
+    EARTH_RADIUS_M,
     GeoPoint,
     PlanarPoint,
     haversine_distance,
@@ -26,6 +31,11 @@ NodeId = str
 LinkId = str
 
 GRID_CELL_M = 100.0
+
+# Slack added to both half-extents of a query box.  It absorbs the rounding
+# of index coordinates and of the exact distances, which stays far below a
+# micrometre for coordinates on Earth; the bound itself is not approximate.
+BOX_MARGIN_M = 0.01
 
 # Road-capacity category: arterials low, local/rural streets high.
 MIN_FUNCTIONAL_CLASS = 1
@@ -163,15 +173,48 @@ class RoadNetwork:
     def _cells_in_range(
         self, center: GeoPoint, radius: float
     ) -> tuple[tuple[int, int], tuple[int, int]]:
-        # Pad for the scale drift between the index frame (network anchor)
-        # and the exact per-query frame; exact filtering removes the excess.
-        pad = 0.05 * radius + 2.0 * GRID_CELL_M
+        """Cell box holding every node and link within ``radius`` of ``center``.
+
+        The index frame is the projection around the network anchor
+        (latitude phi0), so index metres are ``R*dphi`` north and
+        ``R*dlam*cos(phi0)`` east.  Let a point lie within ``radius`` of the
+        centre (latitude phic) by either distance the callers filter with:
+
+        * North-south: haversine is at least ``R*|dphi|``, and the centre's
+          planar frame keeps ``R*dphi`` exactly, so the half-height is
+          ``radius``.
+        * East-west, haversine (``nearest_node``): ``hav(d/R) >=
+          cos(phic)*cos(phin)*hav(dlam)``, and ``|phin| <= |phic| + d/R``,
+          so with ``m = cos(|phic| + radius/R)``,
+          ``|dlam| <= 2*asin(radius/(2*R*m))``.  This is the planar bound
+          ``radius/(R*m)`` times the ``(dlam/2)/sin(dlam/2)`` factor.
+        * East-west, planar (``RadiusScan``, ``nearest_link``): the
+          centre's frame measures ``R*dlam*cos(phic)`` east, so the closest
+          point of a link has ``|dlam| <= radius/(R*cos(phic))``, which
+          the haversine bound above contains.  Both frames are affine maps
+          of (lat, lon) per axis, so a segment stays a segment and that
+          closest point lies in the index cells registered for it.
+
+        The half-width is ``R*cos(phi0)`` times the haversine ``|dlam|``
+        bound; both half-extents get ``BOX_MARGIN_M`` for rounding.  Where
+        the bound cannot be kept (the disc reaches a pole, or the
+        longitude range reaches the antimeridian, across which haversine
+        wraps and the index frame does not) the box is the whole grid.
+        """
+        lat_reach = abs(math.radians(center.lat)) + radius / EARTH_RADIUS_M
+        s = math.inf
+        if lat_reach < 0.5 * math.pi:
+            s = radius / (2.0 * EARTH_RADIUS_M * math.cos(lat_reach))
+        dlam = 2.0 * math.asin(s) if s < 1.0 else math.inf
+        if not abs(math.radians(center.lon)) + dlam < math.pi:
+            return self._cells_min, self._cells_max
+        half_w = EARTH_RADIUS_M * math.cos(math.radians(self._anchor.lat)) * dlam + BOX_MARGIN_M
+        half_h = radius + BOX_MARGIN_M
         x, y = self._index_xy(center)
-        r = radius + pad
-        ix0 = max(math.floor((x - r) / GRID_CELL_M), self._cells_min[0])
-        iy0 = max(math.floor((y - r) / GRID_CELL_M), self._cells_min[1])
-        ix1 = min(math.floor((x + r) / GRID_CELL_M), self._cells_max[0])
-        iy1 = min(math.floor((y + r) / GRID_CELL_M), self._cells_max[1])
+        ix0 = max(math.floor((x - half_w) / GRID_CELL_M), self._cells_min[0])
+        iy0 = max(math.floor((y - half_h) / GRID_CELL_M), self._cells_min[1])
+        ix1 = min(math.floor((x + half_w) / GRID_CELL_M), self._cells_max[0])
+        iy1 = min(math.floor((y + half_h) / GRID_CELL_M), self._cells_max[1])
         return (ix0, iy0), (ix1, iy1)
 
     def _candidate_links(self, center: GeoPoint, radius: float) -> set[LinkId]:
@@ -305,8 +348,8 @@ class RadiusScan:
 
     def within(self, radius: float) -> set[LinkId]:
         """Links whose geometry comes within ``radius`` of the centre."""
-        if radius < 0.0:
-            raise ValueError(f"negative radius: {radius}")
+        if not (radius >= 0.0):
+            raise ValueError(f"radius must be non-negative: {radius}")
         box = self._net._cells_in_range(self._center, radius)
         if box != self._box:
             self._box = box

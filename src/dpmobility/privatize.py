@@ -200,7 +200,8 @@ class EndpointPlan:
     position, ORIGIN or DESTINATION).  ``excluded`` counts the trips
     dropped before any draw.  ``cfg`` is the configuration the plan was
     built with; a draw takes its noise seed from it and its epsilon as an
-    argument.
+    argument.  Nothing reads ``cfg.epsilon``: plans built with configs that
+    differ only in epsilon are equal in every other field.
     """
 
     cfg: PrivacyConfig
@@ -226,7 +227,9 @@ def plan_endpoints(
 
     ``matched`` may carry pre-matched link trajectories aligned with
     ``gps_corpus``.  With a ``window``, trips outside it are left out
-    before counting and reported as ``out_of_window``.
+    before counting and reported as ``out_of_window``.  ``cfg.epsilon`` is
+    not read: the plan does not depend on epsilon, and each draw takes its
+    own.
     """
     if matched is None:
         matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours)

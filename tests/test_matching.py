@@ -63,6 +63,11 @@ class TestMatchTrajectory:
         with pytest.raises(UnmatchableError):
             match_trajectory(trip, net, MatchConfig(max_node_skip=3))
 
+    def test_snap_radius_must_be_positive(self):
+        for radius in (0.0, -5.0, float("nan")):
+            with pytest.raises(ValueError):
+                MatchConfig(snap_radius_m=radius)
+
     def test_single_node_trip_unmatchable(self):
         net = path_network()
         trip = trip_through_nodes(net, ["a", "a", "a"], "2026-01-06")

@@ -1,11 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import dpmobility.network as network_module
+from dpmobility.adaptive import DEFAULT_MAX_BUFFER_M, select_radius
 from dpmobility.errors import NetworkError, NoCandidateError, NoPathError
-from dpmobility.geometry import GeoPoint
-from dpmobility.network import Link, RoadNetwork
+from dpmobility.geometry import GeoPoint, haversine_distance
+from dpmobility.network import Link, RadiusScan, RoadNetwork
 
 from conftest import BASE, grid3x3, make_network, offset_point
 
@@ -33,6 +36,15 @@ def random_network(rng: np.random.Generator, n_nodes: int, base: GeoPoint,
         names = sorted(nodes_m)
         edges.append(("e000", names[0], names[1]))
     return make_network(nodes_m, edges, base)
+
+
+def brute_force_nearest_node(net: RoadNetwork, p: GeoPoint, within: float) -> str | None:
+    best = min((haversine_distance(p, q), nid) for nid, q in net.nodes.items())
+    return best[1] if best[0] <= within else None
+
+
+def brute_force_nearest_link(net: RoadNetwork, p: GeoPoint) -> str:
+    return min(net.links, key=lambda lid: (net.distance_to_link(p, lid), lid))
 
 
 class TestValidation:
@@ -80,8 +92,9 @@ class TestLinksWithin:
         assert net.links_within(net.nodes["n001_001"], 10_000.0) == set(net.links)
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            grid3x3().links_within(BASE, -1.0)
+        for radius in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                grid3x3().links_within(BASE, radius)
 
     def test_fc_filter(self):
         nodes = {"a": (0, 0), "b": (100, 0), "c": (0, 100)}
@@ -158,6 +171,160 @@ class TestNearestNode:
         net = grid3x3()
         p = offset_point(BASE, 220.0, 190.0)
         assert net.nearest_node(p) == "n002_002"
+
+    @pytest.mark.parametrize("lat", [0.0, 37.8, 60.0, 75.0, -60.0])
+    def test_matches_brute_force(self, lat):
+        rng = np.random.default_rng(int(abs(lat) * 10) + (lat < 0))
+        base = GeoPoint(lat, 11.0)
+        nodes = {
+            f"n{i:02d}": offset_point(base, float(rng.uniform(0, 2000)),
+                                      float(rng.uniform(0, 2000)))
+            for i in range(40)
+        }
+        # An exact tie on the bisector: a point between two nodes placed at
+        # dyadic longitude offsets, so both differences are exact and
+        # haversine returns bit-identical distances.
+        mid = offset_point(base, 700.0, 900.0)
+        mid = GeoPoint(mid.lat, 11.0 + 2.0 ** -9)
+        d_lon = 2.0 ** -12
+        nodes["t1"] = GeoPoint(mid.lat, mid.lon + d_lon)
+        nodes["t0"] = GeoPoint(mid.lat, mid.lon - d_lon)
+        nodes["dup"] = nodes["n07"]  # a second node on the same spot
+        net = RoadNetwork(nodes, {})
+        tie = haversine_distance(mid, nodes["t0"])
+        assert tie == haversine_distance(mid, nodes["t1"])
+
+        queries = [(mid, tie), (mid, tie * (1 - 1e-12)), (mid, 2000.0)]
+        for nid in ("n03", "n07", "t1"):
+            queries += [(nodes[nid], 0.0), (nodes[nid], 50.0)]
+        for _ in range(300):
+            p = offset_point(base, float(rng.uniform(-300, 2300)),
+                             float(rng.uniform(-300, 2300)))
+            within = float(rng.uniform(0, 2000))
+            queries.append((p, within))
+            # exactly ``within`` away from some node
+            queries.append((p, haversine_distance(p, nodes[f"n{rng.integers(40):02d}"])))
+        mismatches = [
+            (p, within) for p, within in queries
+            if net.nearest_node(p, within) != brute_force_nearest_node(net, p, within)
+        ]
+        assert mismatches == []
+        assert net.nearest_node(mid, tie) == "t0"
+        assert net.nearest_node(nodes["n07"], 0.0) == "dup"
+
+    def test_across_the_antimeridian(self):
+        # Haversine wraps at +/-180 degrees; the index frame does not, so
+        # the whole grid is searched there.
+        nodes = {"east": GeoPoint(0.0, 179.99), "west": GeoPoint(0.0, -179.999)}
+        net = RoadNetwork(nodes, {})
+        p = GeoPoint(0.0, 179.9995)
+        assert brute_force_nearest_node(net, p, 2000.0) == "west"
+        assert net.nearest_node(p, within=2000.0) == "west"
+
+
+class TestRadiusQueriesAtHighLatitude:
+    """links_within, RadiusScan and nearest_link against brute force where
+    the index frame's scale and the query frame's differ most."""
+
+    @pytest.mark.parametrize("lat", [75.0, -75.0])
+    def test_matches_brute_force(self, lat):
+        rng = np.random.default_rng(75 + (lat < 0))
+        base = GeoPoint(lat, 11.0)
+        net = random_network(rng, 16, base, span_m=6000.0)
+        for _ in range(40):
+            center = offset_point(base, float(rng.uniform(-1000, 7000)),
+                                  float(rng.uniform(-1000, 7000)))
+            radius = float(rng.uniform(0, DEFAULT_MAX_BUFFER_M))
+            assert net.links_within(center, radius) == brute_force_within(net, center, radius)
+            assert net.nearest_link(center) == brute_force_nearest_link(net, center)
+            scan = RadiusScan(net, center)
+            for r in sorted(rng.uniform(0, DEFAULT_MAX_BUFFER_M, 6)):
+                assert scan.within(float(r)) == brute_force_within(net, center, float(r))
+
+    @pytest.mark.parametrize("lat, far_north_m", [(75.0, -500_000.0), (75.0, 500_000.0),
+                                                   (-75.0, 500_000.0)])
+    def test_box_edges_far_from_the_anchor(self, lat, far_north_m):
+        # Nodes and short tangent links exactly on circles around the
+        # centre, plus as many nodes far north or south, which move the
+        # network anchor, and with it the index frame's east-west scale,
+        # halfway there.  Each query's radius reaches exactly one node or
+        # link on a circle; the circles' radii differ by less than a cell,
+        # so the box edge falls at several places within a cell.
+        nodes_m, edges = {}, []
+        for j in range(6):
+            d = 3000.0 + 17.0 * j
+            for k in range(36):
+                theta = math.radians(10.0 * k)
+                cx, cy = d * math.cos(theta), d * math.sin(theta)
+                tx, ty = -5.0 * math.sin(theta), 5.0 * math.cos(theta)
+                name = f"{j}_{k:02d}"
+                nodes_m["c" + name] = (cx, cy)
+                nodes_m["a" + name] = (cx + tx, cy + ty)
+                nodes_m["b" + name] = (cx - tx, cy - ty)
+                edges.append(("t" + name, "a" + name, "b" + name))
+        nodes_m.update({f"far{k:03d}": (0.0, far_north_m) for k in range(len(nodes_m))})
+        center = GeoPoint(lat, 11.0)
+        net = make_network(nodes_m, edges, center)
+        for name in (lid[1:] for lid in net.links):
+            within = haversine_distance(center, net.nodes["c" + name])
+            assert net.nearest_node(center, within) == \
+                brute_force_nearest_node(net, center, within)
+            radius = net.distance_to_link(center, "t" + name)
+            expected = brute_force_within(net, center, radius)
+            assert net.links_within(center, radius) == expected
+            assert RadiusScan(net, center).within(radius) == expected
+
+    def test_full_grid_near_the_pole(self):
+        base = GeoPoint(89.9, 11.0)
+        net = random_network(np.random.default_rng(90), 12, base, span_m=2000.0)
+        center = offset_point(base, 1000.0, 9000.0)  # about 2 km from the pole
+        radius = DEFAULT_MAX_BUFFER_M
+        assert net._cells_in_range(center, radius) == (net._cells_min, net._cells_max)
+        assert net.links_within(center, radius) == brute_force_within(net, center, radius)
+        assert net.nearest_link(center) == brute_force_nearest_link(net, center)
+        assert RadiusScan(net, center).within(radius) == brute_force_within(net, center, radius)
+
+
+class TestIndexBoxWidth:
+    """Exact-distance evaluations per query on city20.  The results do not
+    depend on the box, so only these counts show a box that grew wider.
+    The bounds are the counts measured for the frame-scale box with 50 %
+    headroom; the earlier fixed 200 m pad measured about 32 and 180."""
+
+    def test_haversine_calls_per_snap(self, city20, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(b)
+            return haversine_distance(a, b)
+
+        monkeypatch.setattr(network_module, "haversine_distance", counting)
+        rng = np.random.default_rng(20)
+        origin = city20.nodes["n000_000"]
+        n = 1000
+        for _ in range(n):
+            p = offset_point(origin, float(rng.uniform(0, 1900)), float(rng.uniform(0, 1900)))
+            city20.nearest_node(p, within=50.0)
+        assert len(calls) / n <= 6.0  # measured 4.0
+
+    def test_distance_calls_per_select_radius(self, city20, monkeypatch):
+        calls = []
+        real = RoadNetwork.distance_to_link
+
+        def counting(self, p, lid):
+            calls.append(lid)
+            return real(self, p, lid)
+
+        monkeypatch.setattr(RoadNetwork, "distance_to_link", counting)
+        rng = np.random.default_rng(21)
+        origin = city20.nodes["n000_000"]
+        n = 0
+        for _ in range(100):
+            p = offset_point(origin, float(rng.uniform(0, 1900)), float(rng.uniform(0, 1900)))
+            for fc in (2, 4):
+                select_radius(city20, p, fc)
+                n += 1
+        assert len(calls) / n <= 60.0  # measured 41
 
 
 def enumerate_simple_paths(net: RoadNetwork, src: str, dst: str) -> list[list[str]]:

@@ -5,6 +5,7 @@ from datetime import date
 
 import pytest
 
+from dpmobility.adaptive import BufferResult
 from dpmobility.aggregate import Window, compute_link_counts
 from dpmobility.privatize import (
     DESTINATION,
@@ -117,6 +118,36 @@ class TestPrivatizePipeline:
         for epsilon in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
                 privatize_trajectories(plan, city20, epsilon)
+
+    @pytest.mark.parametrize("max_buffer_m", [60.0, 5000.0])
+    def test_plan_ignores_config_epsilon(self, city20, max_buffer_m):
+        # At a 60 m cap every fired end is sparse; at 5 km each gets a buffer.
+        cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=16)
+        corpus, _ = generate_trips(city20, cfg_trips)
+        matched, _ = match_corpus(corpus, city20)
+        plans = [
+            plan_endpoints(corpus, city20, PrivacyConfig(epsilon=eps, global_seed=3,
+                                                         max_buffer_m=max_buffer_m),
+                           matched=matched)
+            for eps in (0.05, 15.0)
+        ]
+
+        def buffers(plan):
+            return {
+                key: (f.link, f.point, f.buffer if isinstance(f.buffer, BufferResult)
+                      else (type(f.buffer), str(f.buffer)))
+                for key, f in plan.fired.items()
+            }
+
+        assert plans[0].fired
+        assert plans[0].fired.keys() == plans[1].fired.keys()
+        assert buffers(plans[0]) == buffers(plans[1])
+        assert plans[0].counts == plans[1].counts
+        assert plans[0].repeated == plans[1].repeated
+        assert plans[0].trips == plans[1].trips
+        assert plans[0].excluded == plans[1].excluded
+        assert privatize_trajectories(plans[0], city20, 1.0) == \
+            privatize_trajectories(plans[1], city20, 1.0)
 
     def test_unique_origin_moves_across_seeds(self, city20):
         trip = trip_along_route(city20, "n011_011", "n011_014", DAYS[0])
