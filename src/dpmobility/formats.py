@@ -19,7 +19,13 @@ from .errors import InputFormatError
 from .geometry import GeoPoint, haversine_distance
 from .network import Link, LinkId, NodeId, RoadNetwork
 from .privatize import EndpointDecision, PrivatizationReport
-from .trajectories import GpsSample, GpsTrajectory, LinkTrajectory, split_trips
+from .trajectories import (
+    GpsSample,
+    GpsTrajectory,
+    LinkTrajectory,
+    split_trips,
+    validate_trip_gap,
+)
 
 TRIP_COLUMNS = ("device_id", "timestamp", "lat", "lon", "speed_mps", "heading_deg")
 AGGREGATION_COLUMNS = ("link_id", "count", "length_m", "fc")
@@ -241,8 +247,9 @@ def load_trips_csv(path: str | Path, gap_s: float = 300.0) -> list[GpsTrajectory
     """Read samples, group per device, sort by time, split into trips.
 
     Rows need not be globally sorted.  Trips are ordered by device id and
-    start time.
+    start time.  ``gap_s`` is checked before the file is read.
     """
+    validate_trip_gap(gap_s)
     per_device: dict[str, list[GpsSample]] = {}
     rows = _read_csv(path, ("device_id", "timestamp", "lat", "lon"))
     next(rows)

@@ -7,7 +7,9 @@ reads the smallest box of cells that provably holds everything within its
 radius, by great-circle distance for nodes and by planar distance in the
 query point's own frame for links (see ``RoadNetwork._cells_in_range``),
 and re-filters that candidate set with the exact distance.  The index
-therefore only affects speed, never results.
+therefore only affects speed, never results.  For the same reason each
+node pair's shortest path is searched once per network and then served
+from a memo.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ class RoadNetwork:
             n: tuple((lid, self.links[lid].to_node, self.links[lid].length_m) for lid in out)
             for n, out in self.adjacency.items()
         }
+
+        # Search outcomes by (from node, to node): the link path, or None
+        # when there is none.  The network never changes, so each pair is
+        # searched once per instance.
+        self._paths: dict[tuple[NodeId, NodeId], tuple[LinkId, ...] | None] = {}
 
         lats = [p.lat for p in self.nodes.values()]
         lons = [p.lon for p in self.nodes.values()]
@@ -248,15 +255,6 @@ class RoadNetwork:
         """Exactly the links whose geometry comes within ``radius`` of ``center``."""
         return RadiusScan(self, center).within(radius)
 
-    def links_within_fc(self, center: GeoPoint, radius: float, fc: int) -> set[LinkId]:
-        """Radius query restricted to one functional class."""
-        if not (MIN_FUNCTIONAL_CLASS <= fc <= MAX_FUNCTIONAL_CLASS):
-            raise ValueError(f"functional class out of range: {fc}")
-        return {
-            lid for lid in self.links_within(center, radius)
-            if self.links[lid].functional_class == fc
-        }
-
     def nearest_link(self, p: GeoPoint, candidates: set[LinkId] | None = None) -> LinkId:
         """Closest link to ``p``; ties broken by smallest link id.
 
@@ -302,7 +300,8 @@ class RoadNetwork:
 
         Deterministic: among equal-length paths the lexicographically
         smallest link sequence wins.  Returns ``[]`` when the endpoints
-        coincide; raises :class:`NoPathError` when unreachable.
+        coincide; raises :class:`NoPathError` when unreachable.  Each node
+        pair is searched once per network; every call returns a new list.
         """
         if from_node not in self.nodes:
             raise NetworkError(f"unknown node {from_node!r}")
@@ -310,6 +309,17 @@ class RoadNetwork:
             raise NetworkError(f"unknown node {to_node!r}")
         if from_node == to_node:
             return []
+        key = (from_node, to_node)
+        if key in self._paths:
+            path = self._paths[key]
+        else:
+            path = self._paths[key] = self._search(from_node, to_node)
+        if path is None:
+            raise NoPathError(from_node, to_node)
+        return list(path)
+
+    def _search(self, from_node: NodeId, to_node: NodeId) -> tuple[LinkId, ...] | None:
+        """Dijkstra over ``(length, link path)``; ``None`` when unreachable."""
         heap: list[tuple[float, tuple[LinkId, ...], NodeId]] = [(0.0, (), from_node)]
         settled: set[NodeId] = set()
         while heap:
@@ -318,11 +328,11 @@ class RoadNetwork:
                 continue
             settled.add(node)
             if node == to_node:
-                return list(path)
+                return path
             for lid, head, length in self._out[node]:
                 if head not in settled:
                     heapq.heappush(heap, (dist + length, path + (lid,), head))
-        raise NoPathError(from_node, to_node)
+        return None
 
     def path_length_m(self, links: list[LinkId] | tuple[LinkId, ...]) -> float:
         return sum(self.links[lid].length_m for lid in links)

@@ -6,7 +6,9 @@ The radial inverse CDF is
 
 where W_-1 is the lower real branch of the Lambert W function.  Radii from
 C_inv are scaled by a geometry radius R, so the effective per-meter privacy
-parameter of the mechanism is eps/R.
+parameter of the mechanism is eps/R.  Only the factor 1/eps depends on
+epsilon: :func:`unit_radius` computes the rest once per uniform p, and
+:func:`scale_radius` applies 1/eps (and the clamp at 0).
 """
 
 from __future__ import annotations
@@ -114,19 +116,45 @@ def radial_cdf(epsilon: float, r):
     return 1.0 - (1.0 + er) * np.exp(-er)
 
 
-def inverse_cdf_radius(epsilon: float, p):
-    """Inverse radial CDF; monotone in ``p`` over [0, 1)."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive: {epsilon}")
+def unit_radius(p):
+    """Inverse radial CDF at epsilon 1: ``-(W_-1((p - 1)/e) + 1)``.
+
+    The radius at any other epsilon is :func:`scale_radius` of this one, so
+    a uniform ``p`` can be turned into radii for many epsilons with one
+    Lambert-W evaluation.  Accepts a scalar or array.
+    """
     parr = np.asarray(p, dtype=float)
     scalar = parr.ndim == 0
     parr = np.atleast_1d(parr)
     if np.any(parr < 0.0) or np.any(parr >= 1.0):
         raise ValueError("p must lie in [0, 1)")
     w = np.atleast_1d(lambert_w_minus1((parr - 1.0) * INV_E))
-    gamma = -(w + 1.0) / epsilon
-    gamma = np.maximum(gamma, 0.0)
-    return float(gamma[0]) if scalar else gamma
+    unit = -(w + 1.0)
+    return float(unit[0]) if scalar else unit
+
+
+def scale_radius(unit, epsilon: float):
+    """Radius at ``epsilon`` from a :func:`unit_radius` value: ``max(unit/eps, 0)``."""
+    return np.maximum(unit / epsilon, 0.0)
+
+
+def inverse_cdf_radius(epsilon: float, p):
+    """Inverse radial CDF; monotone in ``p`` over [0, 1)."""
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive: {epsilon}")
+    gamma = scale_radius(unit_radius(p), epsilon)
+    return float(gamma) if gamma.ndim == 0 else gamma
+
+
+def laplace_uniforms(rng: np.random.Generator, size: int | None = None):
+    """The uniforms ``(theta, p)`` of planar Laplace draws, theta first.
+
+    theta is uniform on [0, 2*pi) and p on [0, 1); with ``size`` given,
+    arrays of that length are returned.
+    """
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    p = rng.uniform(0.0, 1.0, size=size)
+    return theta, p
 
 
 def sample_planar_laplace(params: NoiseParams, rng: np.random.Generator, size: int | None = None):
@@ -136,8 +164,7 @@ def sample_planar_laplace(params: NoiseParams, rng: np.random.Generator, size: i
     a uniform p in [0, 1), scaled by ``params.radius_m``.  With ``size``
     given, arrays of that length are returned.
     """
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
-    p = rng.uniform(0.0, 1.0, size=size)
+    theta, p = laplace_uniforms(rng, size)
     r = inverse_cdf_radius(params.epsilon, p) * params.radius_m
     return r, theta
 

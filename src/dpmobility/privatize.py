@@ -11,12 +11,14 @@ results are independent of processing order and identical across runs.
 Every run has two stages.  The plan (:func:`plan_endpoints`) holds
 everything that does not depend on epsilon: the matched trips inside the
 window, their link counts and repeated-OD flags, which ends fire, and each
-fired end's buffer radius and candidate set.  The window applies here,
+fired end's buffer radius, candidate set and noise uniforms (the angle and
+the radius at epsilon 1).  The window applies here,
 before counting, so the rule above holds for exactly the population that is
 released; trips outside it are excluded as ``out_of_window``.  The draw
 (:func:`privatize_trajectories`) takes nothing but a plan, the network and
-one epsilon; it perturbs, snaps and re-routes, so an epsilon sweep builds
-one plan and draws from it once per epsilon.
+one epsilon; it scales each planned radius by 1/epsilon, snaps and
+re-routes, so an epsilon sweep builds one plan and draws from it once per
+epsilon.
 
 Adding or removing a single link traversal changes the aggregated output by
 one count, so noise is calibrated for unit sensitivity.
@@ -28,6 +30,7 @@ endpoint links, and clipping runs of unique links inward from both ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -43,9 +46,11 @@ from .adaptive import (
 from .aggregate import AggregatedMobilityNetwork, Window, aggregate, compute_link_counts
 from .errors import DisplacementRangeError, SparseNetworkError, UnmatchableError
 from .matching import MatchConfig, match_noisy_endpoint, match_trajectory, rebuild_trajectory
-from .geometry import GeoPoint
+from .geometry import GeoPoint, displace
 from .network import LinkId, NodeId, RoadNetwork
-from .noise import NoiseParams, SeedRule, perturb
+# ``perturb`` is not called here; it stays importable under this module's
+# name because bench/tracing.py wraps ``privatize.perturb``.
+from .noise import SeedRule, laplace_uniforms, perturb, scale_radius, unit_radius  # noqa: F401
 from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory
 
 ORIGIN = "origin"
@@ -73,6 +78,12 @@ class PrivacyConfig:
     def __post_init__(self):
         if not (self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive: {self.epsilon}")
+        if not (self.h1 >= self.h2 >= 0):
+            raise ValueError(f"thresholds must satisfy h1 >= h2 >= 0, got {self.h1}, {self.h2}")
+        for name in ("initial_buffer_m", "buffer_step_m", "max_buffer_m"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive: {value}")
 
 
 @dataclass(frozen=True)
@@ -183,11 +194,22 @@ class FiredEnd:
 
     ``buffer`` is the outcome of :func:`select_radius` around ``point``, or
     the :class:`SparseNetworkError` it raised; neither depends on epsilon.
+    With a buffer, ``theta`` and ``unit_radius`` are the end's noise: the
+    angle and the epsilon-1 radius (see :func:`noise.unit_radius`) drawn
+    from its seeded generator.  Both are ``None`` for a sparse network.
     """
 
     link: LinkId
     point: GeoPoint
     buffer: BufferResult | SparseNetworkError
+    theta: float | None
+    unit_radius: float | None
+
+    def noisy_point(self, epsilon: float) -> GeoPoint:
+        """The perturbed point at ``epsilon``: the same value as
+        ``noise.perturb`` gives from this end's seeded generator."""
+        r = float(scale_radius(self.unit_radius, epsilon)) * self.buffer.radius_m
+        return displace(self.point, r, self.theta)
 
 
 @dataclass(frozen=True)
@@ -199,9 +221,10 @@ class EndpointPlan:
     ``fired`` holds every end that the rule perturbs, keyed by (trip
     position, ORIGIN or DESTINATION).  ``excluded`` counts the trips
     dropped before any draw.  ``cfg`` is the configuration the plan was
-    built with; a draw takes its noise seed from it and its epsilon as an
-    argument.  Nothing reads ``cfg.epsilon``: plans built with configs that
-    differ only in epsilon are equal in every other field.
+    built with; its ``global_seed`` seeds the noise of the fired ends, and
+    a draw takes its epsilon as an argument.  Nothing reads
+    ``cfg.epsilon``: plans built with configs that differ only in epsilon
+    are equal in every other field.
     """
 
     cfg: PrivacyConfig
@@ -222,8 +245,8 @@ def plan_endpoints(
     window: Window | None = None,
     matched: Sequence[LinkTrajectory | None] | None = None,
 ) -> EndpointPlan:
-    """Match, window and count the corpus and size the buffer of every
-    fired end.
+    """Match, window and count the corpus, and size the buffer and draw
+    the noise uniforms of every fired end.
 
     ``matched`` may carry pre-matched link trajectories aligned with
     ``gps_corpus``.  With a ``window``, trips outside it are left out
@@ -241,7 +264,7 @@ def plan_endpoints(
     counts = compute_link_counts(trips.values())
     repeated = detect_repeated_od(in_window) if cfg.perturb_repeated else set()
 
-    fired: dict[tuple[int, str], FiredEnd] = {}
+    ends: list[tuple[tuple[int, str], LinkId, GeoPoint, BufferResult | SparseNetworkError]] = []
     for i, trip in trips.items():
         g = gps_corpus[i]
         for end, link, point in (
@@ -263,7 +286,22 @@ def plan_endpoints(
                 )
             except SparseNetworkError as e:
                 buffer = e
-            fired[(i, end)] = FiredEnd(link, point, buffer)
+            ends.append(((i, end), link, point, buffer))
+
+    # Each end's noise depends only on (global seed, link, end), so it is
+    # drawn here once, and the Lambert W of all ends is one array call.
+    seeds = SeedRule(cfg.global_seed)
+    uniforms = {
+        key: laplace_uniforms(seeds.generator(link, key[1]))
+        for key, link, _, buffer in ends
+        if isinstance(buffer, BufferResult)
+    }
+    units = unit_radius([p for _, p in uniforms.values()]).tolist()
+    noise = {key: (theta, unit) for (key, (theta, _)), unit in zip(uniforms.items(), units)}
+    fired = {
+        key: FiredEnd(link, point, buffer, *noise.get(key, (None, None)))
+        for key, link, point, buffer in ends
+    }
 
     return EndpointPlan(
         cfg=cfg,
@@ -276,18 +314,11 @@ def plan_endpoints(
     )
 
 
-def _snap(
-    fired: FiredEnd, end: str, net: RoadNetwork, epsilon: float, seeds: SeedRule
-) -> tuple[LinkId, NodeId]:
+def _snap(fired: FiredEnd, net: RoadNetwork, epsilon: float) -> tuple[LinkId, NodeId]:
     """Perturb one fired end and snap it onto its candidate set."""
     if isinstance(fired.buffer, SparseNetworkError):
         raise SparseNetworkError(*fired.buffer.args)
-    z = perturb(
-        fired.point,
-        NoiseParams(epsilon, fired.buffer.radius_m),
-        seeds.generator(fired.link, end),
-    )
-    return match_noisy_endpoint(z, fired.buffer.buffer_set_fc, net)
+    return match_noisy_endpoint(fired.noisy_point(epsilon), fired.buffer.buffer_set_fc, net)
 
 
 def privatize_trajectories(
@@ -295,19 +326,18 @@ def privatize_trajectories(
 ) -> tuple[dict[int, LinkTrajectory], PrivatizationReport]:
     """Draw one release from ``plan`` at privacy level ``epsilon``.
 
-    Perturbs, snaps and re-routes every fired end, seeded by the plan's
-    ``global_seed``.  Returns the surviving privatized trips keyed by their
+    Perturbs, snaps and re-routes every fired end with the noise the plan
+    drew for it.  Returns the surviving privatized trips keyed by their
     position in the planned corpus plus the decision report.
     """
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive: {epsilon}")
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and positive: {epsilon}")
 
     excluded = dict(plan.excluded)
 
     def exclude(cause: str) -> None:
         excluded[cause] = excluded.get(cause, 0) + 1
 
-    seeds = SeedRule(plan.cfg.global_seed)
     out: dict[int, LinkTrajectory] = {}
     decisions: list[EndpointDecision] = []
     endpoints_perturbed = 0
@@ -316,8 +346,8 @@ def privatize_trajectories(
         ends = [(end, plan.fired.get((i, end))) for end in (ORIGIN, DESTINATION)]
         try:
             snaps = [
-                _snap(fired, end, net, epsilon, seeds) if fired else None
-                for end, fired in ends
+                _snap(fired, net, epsilon) if fired else None
+                for _, fired in ends
             ]
             rebuilt = rebuild_trajectory(
                 trip, net, *(snap[1] if snap else None for snap in snaps)

@@ -90,6 +90,12 @@ class LinkTrajectory:
         )
 
 
+def validate_trip_gap(gap_s: float) -> None:
+    """Raise ValueError unless ``gap_s`` is a finite, positive number of seconds."""
+    if not (0.0 < gap_s < math.inf):
+        raise ValueError(f"trip gap must be finite and positive: {gap_s}")
+
+
 def split_trips(
     stream: Iterable[GpsSample], gap_s: float = DEFAULT_TRIP_GAP_S
 ) -> list[GpsTrajectory]:
@@ -97,8 +103,10 @@ def split_trips(
 
     A new trip starts whenever the inter-sample gap exceeds ``gap_s``.
     Trips with fewer than 2 samples are dropped; samples repeating the
-    previous timestamp are discarded.
+    previous timestamp are discarded.  Raises ValueError unless ``gap_s``
+    is finite and positive.
     """
+    validate_trip_gap(gap_s)
     trips: list[GpsTrajectory] = []
     run: list[GpsSample] = []
     for s in stream:

@@ -97,6 +97,27 @@ class TestPrivatizeCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("option", [
+        ("--gap", "nan"),
+        ("--gap", "-5"),
+        ("--gap", "0"),
+        ("--max-buffer", "nan"),
+        ("--initial-buffer", "nan"),
+        ("--initial-buffer", "0"),
+        ("--buffer-step", "nan"),
+        ("--h1", "-1"),
+    ])
+    def test_malformed_option_exit_2(self, inputs, tmp_path, option):
+        _, net, trips, _ = inputs
+        out = tmp_path / "x"
+        code = main([
+            "privatize", "--network", str(net), "--trips", str(trips),
+            "--epsilon", "1", *option, "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
+
 class TestCompareCommand:
     def test_sweep_row_count(self, inputs, tmp_path):
         _, net, trips, _ = inputs

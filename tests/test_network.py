@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+from datetime import date
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from dpmobility.adaptive import DEFAULT_MAX_BUFFER_M, select_radius
 from dpmobility.errors import NetworkError, NoCandidateError, NoPathError
 from dpmobility.geometry import GeoPoint, haversine_distance
 from dpmobility.network import Link, RadiusScan, RoadNetwork
+from dpmobility.privatize import match_corpus
+from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 
 from conftest import BASE, grid3x3, make_network, offset_point
 
@@ -95,19 +99,6 @@ class TestLinksWithin:
         for radius in (-1.0, float("nan")):
             with pytest.raises(ValueError):
                 grid3x3().links_within(BASE, radius)
-
-    def test_fc_filter(self):
-        nodes = {"a": (0, 0), "b": (100, 0), "c": (0, 100)}
-        net = make_network(
-            nodes,
-            [("e1", "a", "b", {"fc": 2}), ("e2", "a", "c", {"fc": 4})],
-        )
-        center = net.nodes["a"]
-        assert net.links_within_fc(center, 50.0, 2) == {"e1"}
-        assert net.links_within_fc(center, 50.0, 4) == {"e2"}
-        assert net.links_within_fc(center, 50.0, 3) == set()
-        assert net.links_within_fc(center, 50.0, 4) | net.links_within_fc(center, 50.0, 2) == \
-            net.links_within(center, 50.0)
 
     def test_index_matches_brute_force_on_random_networks(self):
         for seed, lat in ((1, 0.0), (2, 37.8), (3, 60.0)):
@@ -410,3 +401,91 @@ class TestShortestPath:
         i, j = 3, 9
         sub = city20.shortest_path(nodes[i], nodes[j])
         assert sub == route[i:j]
+
+    def test_matches_lexicographic_oracle_with_ties(self):
+        # Integer lengths on a coarse lattice make equal-length routes
+        # common, so the tie-break is exercised, not just the length.
+        ties = 0
+        for seed in range(8):
+            rng = np.random.default_rng(200 + seed)
+            net = integer_length_network(rng, 7)
+            for src, dst in itertools.permutations(sorted(net.nodes), 2):
+                all_paths = enumerate_simple_paths(net, src, dst)
+                if not all_paths:
+                    with pytest.raises(NoPathError):
+                        net.shortest_path(src, dst)
+                    continue
+                keyed = sorted((fold_length(net, p), tuple(p)) for p in all_paths)
+                ties += len(keyed) > 1 and keyed[0][0] == keyed[1][0]
+                assert net.shortest_path(src, dst) == list(keyed[0][1])
+        assert ties >= 30  # measured 42 of the pairs with a path
+
+    def test_repeated_calls_return_equal_independent_lists(self, city20):
+        first = city20.shortest_path("n002_003", "n014_011")
+        first.append("not-a-link")
+        second = city20.shortest_path("n002_003", "n014_011")
+        third = city20.shortest_path("n002_003", "n014_011")
+        assert second == third == first[:-1]
+        assert second is not third
+        assert city20.shortest_path("n005_005", "n005_005") == []
+
+    def test_no_path_repeats(self):
+        net = make_network({"a": (0, 0), "b": (100, 0)}, [("e1", "a", "b")])
+        for _ in range(3):
+            with pytest.raises(NoPathError):
+                net.shortest_path("b", "a")
+            assert net.shortest_path("a", "b") == ["e1"]
+        with pytest.raises(NetworkError):
+            net.shortest_path("a", "nope")
+
+
+def integer_length_network(rng: np.random.Generator, n_nodes: int) -> RoadNetwork:
+    """Random digraph on a 100 m lattice whose links have whole-100 m lengths."""
+    cells = rng.choice(16, size=n_nodes, replace=False)
+    nodes_m = {f"n{i}": (100.0 * (c % 4), 100.0 * (c // 4)) for i, c in enumerate(cells)}
+    points = {nid: offset_point(BASE, x, y) for nid, (x, y) in nodes_m.items()}
+    edges = []
+    for a, b in itertools.permutations(sorted(nodes_m), 2):
+        if rng.random() < 0.45:
+            chord = haversine_distance(points[a], points[b])
+            length = 100.0 * (math.ceil(chord / 100.0) + int(rng.integers(0, 2)))
+            edges.append((f"e{len(edges):03d}", a, b, {"length_m": length}))
+    return make_network(nodes_m, edges)
+
+
+def fold_length(net: RoadNetwork, path: list[str]) -> float:
+    """Path length summed in path order from 0.0, as the search adds it."""
+    return functools.reduce(lambda acc, lid: acc + net.links[lid].length_m, path, 0.0)
+
+
+class TestRouteMemo:
+    def test_matching_twice_searches_each_pair_once(self, city20, monkeypatch):
+        corpus, _ = generate_trips(
+            city20, SynthTripConfig(n_trips=150, n_devices=40, days=(date(2026, 1, 6),), seed=8)
+        )
+        # A fresh network, so no earlier test has filled its memo.
+        net = generate_city(SynthCityConfig(rows=20, cols=20, spacing_m=100.0,
+                                            arterial_every=5, seed=42))
+        asked: list[tuple[str, str]] = []
+        searched: list[tuple[str, str]] = []
+        real_shortest_path = RoadNetwork.shortest_path
+        real_search = RoadNetwork._search
+
+        def counting_shortest_path(self, a, b):
+            asked.append((a, b))
+            return real_shortest_path(self, a, b)
+
+        def counting_search(self, a, b):
+            searched.append((a, b))
+            return real_search(self, a, b)
+
+        monkeypatch.setattr(RoadNetwork, "shortest_path", counting_shortest_path)
+        monkeypatch.setattr(RoadNetwork, "_search", counting_search)
+        first, _ = match_corpus(corpus, net)
+        after_first = len(searched)
+        second, _ = match_corpus(corpus, net)
+
+        assert second == first
+        assert len(searched) == after_first
+        assert sorted(searched) == sorted({(a, b) for a, b in asked if a != b})
+        assert len(asked) >= 2 * len(searched)

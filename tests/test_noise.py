@@ -16,6 +16,8 @@ from dpmobility.noise import (
     perturb_batch,
     radial_cdf,
     sample_planar_laplace,
+    scale_radius,
+    unit_radius,
     verify_geo_indistinguishability,
 )
 
@@ -98,7 +100,22 @@ class TestInverseCdf:
         lo, hi = sorted((p1, p2))
         assert inverse_cdf_radius(1.0, lo) < inverse_cdf_radius(1.0, hi)
 
+    def test_unit_radius_array_matches_scalars(self):
+        # A plan evaluates all fired ends in one array call; each element
+        # must be bit-identical to the one-element call perturb makes.
+        ps = np.concatenate([
+            np.random.default_rng(31).uniform(0.0, 1.0, 5000),
+            [0.0, 1e-300, 1e-12, 0.5, 1.0 - 2.0 / math.e, np.nextafter(1.0, 0.0)],
+        ])
+        units = unit_radius(ps)
+        for p, unit in zip(ps.tolist(), units.tolist()):
+            assert unit == unit_radius(p)
+            for eps in (0.05, 1.0, 15.0):
+                assert float(scale_radius(unit, eps)) == inverse_cdf_radius(eps, p)
+
     def test_domain(self):
+        with pytest.raises(ValueError):
+            unit_radius(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             inverse_cdf_radius(1.0, 1.0)
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ import pytest
 
 from dpmobility.adaptive import BufferResult
 from dpmobility.aggregate import Window, compute_link_counts
+from dpmobility.metrics import DEFAULT_EPSILONS
+from dpmobility.noise import NoiseParams, SeedRule, perturb
 from dpmobility.privatize import (
     DESTINATION,
     ORIGIN,
@@ -244,6 +246,58 @@ class TestPrivatizePipeline:
                     and new_counts.get(dec.original_link) == 1):
                 survivors += 1
         assert report.endpoints_unchanged_single_count == survivors
+
+
+class TestPrivacyConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"h1": -1},
+        {"h1": 2, "h2": 3},
+        {"h1": 0, "h2": -1},
+        {"initial_buffer_m": 0.0},
+        {"initial_buffer_m": float("nan")},
+        {"buffer_step_m": -10.0},
+        {"buffer_step_m": float("nan")},
+        {"max_buffer_m": float("nan")},
+        {"max_buffer_m": float("inf")},
+    ])
+    def test_rejects_bad_thresholds_and_buffers(self, kwargs):
+        with pytest.raises(ValueError):
+            PrivacyConfig(epsilon=1.0, **kwargs)
+
+    def test_accepts_boundary_values(self):
+        PrivacyConfig(epsilon=1.0, h1=3, h2=3)
+        PrivacyConfig(epsilon=1.0, h1=0, h2=0, initial_buffer_m=1e-3, buffer_step_m=1e-3,
+                      max_buffer_m=1e-3)
+
+
+class TestPlannedNoise:
+    def test_draw_equals_perturb_bit_for_bit(self, city20):
+        # The plan draws each fired end's uniforms once; every epsilon of
+        # the sweep must land exactly where a fresh perturb from the end's
+        # seeded generator lands.
+        cfg_trips = SynthTripConfig(n_trips=120, n_devices=60, days=(date(2026, 1, 6),),
+                                    repeat_fraction=0.1, seed=12)
+        corpus, _ = generate_trips(city20, cfg_trips)
+        plan = plan_endpoints(corpus, city20, PrivacyConfig(epsilon=1.0, global_seed=29))
+        assert len(plan.fired) >= 20
+        for (_, end), fired in plan.fired.items():
+            assert isinstance(fired.buffer, BufferResult)
+            for epsilon in DEFAULT_EPSILONS:
+                expected = perturb(
+                    fired.point,
+                    NoiseParams(epsilon, fired.buffer.radius_m),
+                    SeedRule(29).generator(fired.link, end),
+                )
+                got = fired.noisy_point(epsilon)
+                assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    def test_sparse_ends_carry_no_noise(self, city20):
+        cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=16)
+        corpus, _ = generate_trips(city20, cfg_trips)
+        plan = plan_endpoints(corpus, city20, PrivacyConfig(epsilon=1.0, max_buffer_m=60.0))
+        assert plan.fired
+        for fired in plan.fired.values():
+            assert fired.theta is None and fired.unit_radius is None
 
 
 class TestWindowBeforeCounting:

@@ -3,6 +3,7 @@ from datetime import date
 
 import pytest
 
+from dpmobility.formats import load_trips_csv
 from dpmobility.geometry import GeoPoint
 from dpmobility.trajectories import (
     GpsSample,
@@ -53,6 +54,21 @@ class TestSplitTrips:
         stream = samples_with_gaps([30, 30])
         with pytest.raises(ValueError):
             split_trips(list(reversed(stream)))
+
+    @pytest.mark.parametrize("gap", [0.0, -5.0, float("nan"), float("inf")])
+    def test_rejects_malformed_gap(self, gap):
+        with pytest.raises(ValueError):
+            split_trips(samples_with_gaps([30, 30]), gap)
+        with pytest.raises(ValueError):
+            split_trips([], gap)
+
+    @pytest.mark.parametrize("gap", [-5.0, float("nan")])
+    def test_loader_rejects_malformed_gap(self, tmp_path, gap):
+        # Checked before any row is read, so even a file with no samples fails.
+        path = tmp_path / "trips.csv"
+        path.write_text("device_id,timestamp,lat,lon\n")
+        with pytest.raises(ValueError):
+            load_trips_csv(path, gap_s=gap)
 
     def test_duplicate_timestamp_dropped(self):
         stream = samples_with_gaps([30, 0, 30])
