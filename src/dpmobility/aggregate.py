@@ -7,29 +7,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .network import LinkId
-from .trajectories import LinkTrajectory, weekday_label
+from .trajectories import LinkTrajectory, Window
 
 SOURCE_RAW = "raw"
-
-
-@dataclass(frozen=True)
-class Window:
-    """Half-open hour range plus a set of weekday labels."""
-
-    hours: tuple[int, int]
-    days: frozenset[str]
-
-    def __post_init__(self):
-        h0, h1 = self.hours
-        if not (0 <= h0 < h1 <= 24):
-            raise ValueError(f"invalid hour window: {self.hours}")
-
-    def contains(self, trip: LinkTrajectory) -> bool:
-        h0, h1 = self.hours
-        return h0 <= trip.hour < h1 and weekday_label(trip.day) in self.days
-
-    def label(self) -> str:
-        return f"{self.hours[0]:02d}-{self.hours[1]:02d}/" + ",".join(sorted(self.days))
 
 
 @dataclass(frozen=True)
@@ -64,9 +44,7 @@ def aggregate(
     window: Window | None = None,
     source: str = SOURCE_RAW,
 ) -> AggregatedMobilityNetwork:
-    """Aggregate a corpus into link counts, optionally window-filtered."""
-    if window is not None:
-        corpus = [t for t in corpus if window.contains(t)]
+    """Aggregate a corpus into link counts; ``window`` only labels the result."""
     return AggregatedMobilityNetwork(
         counts=compute_link_counts(corpus), source=source, window=window
     )

@@ -9,8 +9,9 @@ by shortest paths, and consecutive duplicate links collapse.  Probabilistic
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
-from .errors import NoCandidateError, NoPathError, UnmatchableError
+from .errors import NoPathError, UnmatchableError
 from .geometry import GeoPoint, haversine_distance
 from .network import LinkId, NodeId, RoadNetwork
 from .trajectories import (
@@ -89,17 +90,16 @@ def match_trajectory(
 
 
 def match_noisy_endpoint(
-    z: GeoPoint, candidates: set[LinkId] | frozenset[LinkId], net: RoadNetwork
+    z: GeoPoint, candidates: Collection[LinkId], net: RoadNetwork
 ) -> tuple[LinkId, NodeId]:
     """Snap a perturbed endpoint onto the candidate set.
 
     Returns the candidate link closest to ``z`` and its endpoint node
     nearer to ``z`` (ties on node distance break by node id); that node
-    becomes the new trip terminus.
+    becomes the new trip terminus.  Raises :class:`NoCandidateError` on an
+    empty candidate set.
     """
-    if not candidates:
-        raise NoCandidateError("empty buffer candidate set")
-    lid = net.nearest_link(z, set(candidates))
+    lid = net.nearest_link(z, candidates)
     link = net.links[lid]
     node = min(
         (haversine_distance(z, net.nodes[link.from_node]), link.from_node),

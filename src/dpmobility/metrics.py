@@ -5,20 +5,23 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping, Sequence
 
-from .aggregate import AggregatedMobilityNetwork, Window, aggregate
+from .aggregate import AggregatedMobilityNetwork, aggregate
 from .errors import WindowMismatchError
 from .matching import MatchConfig
 from .network import LinkId, NodeId, RoadNetwork
+from .noise import validate_epsilon
+# ``match_corpus`` is not called here; it stays importable under this
+# module's name because bench/tracing.py wraps ``metrics.match_corpus``.
+from .privatize import match_corpus  # noqa: F401
 from .privatize import (
     _BASELINES,
     PrivacyConfig,
     SOURCE_DP_ANI,
-    match_corpus,
-    plan_endpoints,
+    _plan,
+    match_window,
     privatize_trajectories,
-    window_matched,
 )
-from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory
+from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory, Window
 
 METERS_PER_MILE = 1609.344
 
@@ -153,18 +156,20 @@ def compare(
 ) -> list[dict]:
     """Run every requested model and emit one metrics row per run.
 
-    Every model sees the matched trips inside ``window``.  Removal-style
+    Every model sees the matched trips inside ``window``; each of them is
+    matched once, and trips outside it are never matched.  Removal-style
     models and the raw reference run once; the adaptive-noise model draws
-    once per epsilon from one shared plan.  Rows are dictionaries keyed by
+    once per epsilon from one shared plan.  Unknown models and bad epsilons
+    are rejected before any matching.  Rows are dictionaries keyed by
     COMPARE_COLUMNS; ``epsilon`` is None for epsilon-independent models.
     """
     unknown = set(models) - set(DEFAULT_MODELS)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
+    for eps in epsilons:
+        validate_epsilon(eps)
 
-    matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours)
-    in_window, _ = window_matched(matched, window)
-    raw_trips = {i: t for i, t in enumerate(in_window) if t is not None}
+    raw_trips, left_out = match_window(gps_corpus, net, match_cfg, utc_offset_hours, window)
     raw_corpus = list(raw_trips.values())
     raw_agg = aggregate(raw_corpus, window=window)
     raw_ods = {i: (t.links[0], t.links[-1]) for i, t in raw_trips.items()}
@@ -201,9 +206,7 @@ def compare(
                 row(model, None, corpus, agg, unchanged, ratio, len(gps_corpus) - len(corpus))
             )
         else:  # adaptive noise: one plan, one draw per epsilon
-            plan = plan_endpoints(
-                gps_corpus, net, cfg, match_cfg, utc_offset_hours, window, matched
-            )
+            plan = _plan(gps_corpus, net, cfg, raw_trips, left_out)
             for eps in epsilons:
                 out, report = privatize_trajectories(plan, net, eps)
                 corpus = list(out.values())

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Collection
 
 from .errors import NetworkError, NoCandidateError, NoPathError
 from .geometry import (
@@ -255,7 +256,7 @@ class RoadNetwork:
         """Exactly the links whose geometry comes within ``radius`` of ``center``."""
         return RadiusScan(self, center).within(radius)
 
-    def nearest_link(self, p: GeoPoint, candidates: set[LinkId] | None = None) -> LinkId:
+    def nearest_link(self, p: GeoPoint, candidates: Collection[LinkId] | None = None) -> LinkId:
         """Closest link to ``p``; ties broken by smallest link id.
 
         With ``candidates`` given, only those links compete.  Raises

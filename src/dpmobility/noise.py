@@ -30,6 +30,12 @@ _RESIDUAL_RTOL = 1e-14
 _DOMAIN_SLACK = 4e-16
 
 
+def validate_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless ``epsilon`` is finite and positive."""
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and positive: {epsilon}")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Privacy parameter and geometric scaling radius of one draw."""
@@ -38,8 +44,7 @@ class NoiseParams:
     radius_m: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive: {self.epsilon}")
+        validate_epsilon(self.epsilon)
         if not (self.radius_m > 0.0 and math.isfinite(self.radius_m)):
             raise ValueError(f"radius must be positive: {self.radius_m}")
 
@@ -140,8 +145,7 @@ def scale_radius(unit, epsilon: float):
 
 def inverse_cdf_radius(epsilon: float, p):
     """Inverse radial CDF; monotone in ``p`` over [0, 1)."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive: {epsilon}")
+    validate_epsilon(epsilon)
     gamma = scale_radius(unit_radius(p), epsilon)
     return float(gamma) if gamma.ndim == 0 else gamma
 

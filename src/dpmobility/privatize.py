@@ -12,9 +12,10 @@ Every run has two stages.  The plan (:func:`plan_endpoints`) holds
 everything that does not depend on epsilon: the matched trips inside the
 window, their link counts and repeated-OD flags, which ends fire, and each
 fired end's buffer radius, candidate set and noise uniforms (the angle and
-the radius at epsilon 1).  The window applies here,
-before counting, so the rule above holds for exactly the population that is
-released; trips outside it are excluded as ``out_of_window``.  The draw
+the radius at epsilon 1).  The window applies here, before matching and
+counting, so the rule above holds for exactly the population that is
+released; trips outside it are never matched and are excluded as
+``out_of_window``.  The draw
 (:func:`privatize_trajectories`) takes nothing but a plan, the network and
 one epsilon; it scales each planned radius by 1/epsilon, snaps and
 re-routes, so an epsilon sweep builds one plan and draws from it once per
@@ -43,15 +44,16 @@ from .adaptive import (
     BufferResult,
     select_radius,
 )
-from .aggregate import AggregatedMobilityNetwork, Window, aggregate, compute_link_counts
+from .aggregate import AggregatedMobilityNetwork, aggregate, compute_link_counts
 from .errors import DisplacementRangeError, SparseNetworkError, UnmatchableError
 from .matching import MatchConfig, match_noisy_endpoint, match_trajectory, rebuild_trajectory
 from .geometry import GeoPoint, displace
 from .network import LinkId, NodeId, RoadNetwork
 # ``perturb`` is not called here; it stays importable under this module's
 # name because bench/tracing.py wraps ``privatize.perturb``.
-from .noise import SeedRule, laplace_uniforms, perturb, scale_radius, unit_radius  # noqa: F401
-from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory
+from .noise import perturb  # noqa: F401
+from .noise import SeedRule, laplace_uniforms, scale_radius, unit_radius, validate_epsilon
+from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory, Window
 
 ORIGIN = "origin"
 DESTINATION = "destination"
@@ -64,9 +66,8 @@ SOURCE_OD_SUCCESSIVE = "od-successive"
 
 @dataclass(frozen=True)
 class PrivacyConfig:
-    """All knobs of one privatization run."""
+    """The epsilon-independent knobs of one privatization run."""
 
-    epsilon: float
     h1: int = DEFAULT_H1
     h2: int = DEFAULT_H2
     initial_buffer_m: float = DEFAULT_INITIAL_BUFFER_M
@@ -76,8 +77,6 @@ class PrivacyConfig:
     perturb_repeated: bool = True
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive: {self.epsilon}")
         if not (self.h1 >= self.h2 >= 0):
             raise ValueError(f"thresholds must satisfy h1 >= h2 >= 0, got {self.h1}, {self.h2}")
         for name in ("initial_buffer_m", "buffer_step_m", "max_buffer_m"):
@@ -167,25 +166,31 @@ def match_corpus(
     return matched, sum(1 for m in matched if m is None)
 
 
-def window_matched(
-    matched: Sequence[LinkTrajectory | None], window: Window | None = None
-) -> tuple[list[LinkTrajectory | None], dict[str, int]]:
-    """``matched`` with every trip outside ``window`` replaced by None,
-    plus how many trips were left out for each cause (``unmatchable``,
-    ``out_of_window``)."""
-    excluded: dict[str, int] = {}
-    in_window: list[LinkTrajectory | None] = []
-    for trip in matched:
-        cause = None
-        if trip is None:
-            cause = "unmatchable"
-        elif window is not None and not window.contains(trip):
-            cause = "out_of_window"
-        if cause is not None:
-            excluded[cause] = excluded.get(cause, 0) + 1
-            trip = None
-        in_window.append(trip)
-    return in_window, excluded
+def match_window(
+    gps_corpus: Sequence[GpsTrajectory],
+    net: RoadNetwork,
+    match_cfg: MatchConfig = MatchConfig(),
+    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
+    window: Window | None = None,
+    matched: Sequence[LinkTrajectory | None] | None = None,
+) -> tuple[dict[int, LinkTrajectory], dict[str, int]]:
+    """Match the trips of ``gps_corpus`` inside ``window``.
+
+    Returns the matched trips keyed by corpus position, plus how many trips
+    were left out for each cause (``out_of_window``, ``unmatchable``).
+    Trips outside the window are never matched.  ``matched`` may carry
+    pre-matched link trajectories aligned with ``gps_corpus``.
+    """
+    if matched is not None and len(matched) != len(gps_corpus):
+        raise ValueError("matched corpus must align with the GPS corpus")
+    kept = [i for i, g in enumerate(gps_corpus)
+            if window is None or window.contains(g, utc_offset_hours)]
+    if matched is None:
+        found, _ = match_corpus([gps_corpus[i] for i in kept], net, match_cfg, utc_offset_hours)
+        matched = dict(zip(kept, found))
+    trips = {i: matched[i] for i in kept if matched[i] is not None}
+    excluded = {"out_of_window": len(gps_corpus) - len(kept), "unmatchable": len(kept) - len(trips)}
+    return trips, {cause: n for cause, n in excluded.items() if n}
 
 
 @dataclass(frozen=True)
@@ -221,10 +226,7 @@ class EndpointPlan:
     ``fired`` holds every end that the rule perturbs, keyed by (trip
     position, ORIGIN or DESTINATION).  ``excluded`` counts the trips
     dropped before any draw.  ``cfg`` is the configuration the plan was
-    built with; its ``global_seed`` seeds the noise of the fired ends, and
-    a draw takes its epsilon as an argument.  Nothing reads
-    ``cfg.epsilon``: plans built with configs that differ only in epsilon
-    are equal in every other field.
+    built with; its ``global_seed`` seeds the noise of the fired ends.
     """
 
     cfg: PrivacyConfig
@@ -245,23 +247,25 @@ def plan_endpoints(
     window: Window | None = None,
     matched: Sequence[LinkTrajectory | None] | None = None,
 ) -> EndpointPlan:
-    """Match, window and count the corpus, and size the buffer and draw
+    """Window, match and count the corpus, and size the buffer and draw
     the noise uniforms of every fired end.
 
-    ``matched`` may carry pre-matched link trajectories aligned with
-    ``gps_corpus``.  With a ``window``, trips outside it are left out
-    before counting and reported as ``out_of_window``.  ``cfg.epsilon`` is
-    not read: the plan does not depend on epsilon, and each draw takes its
-    own.
+    See :func:`match_window` for ``window`` and ``matched``.
     """
-    if matched is None:
-        matched, _ = match_corpus(gps_corpus, net, match_cfg, utc_offset_hours)
-    elif len(matched) != len(gps_corpus):
-        raise ValueError("matched corpus must align with the GPS corpus")
+    trips, excluded = match_window(gps_corpus, net, match_cfg, utc_offset_hours, window, matched)
+    return _plan(gps_corpus, net, cfg, trips, excluded)
 
-    in_window, excluded = window_matched(matched, window)
-    trips = {i: t for i, t in enumerate(in_window) if t is not None}
+
+def _plan(
+    gps_corpus: Sequence[GpsTrajectory],
+    net: RoadNetwork,
+    cfg: PrivacyConfig,
+    trips: dict[int, LinkTrajectory],
+    excluded: dict[str, int],
+) -> EndpointPlan:
+    """The plan over ``trips``, keyed by their position in ``gps_corpus``."""
     counts = compute_link_counts(trips.values())
+    in_window = [trips.get(i) for i in range(len(gps_corpus))]
     repeated = detect_repeated_od(in_window) if cfg.perturb_repeated else set()
 
     ends: list[tuple[tuple[int, str], LinkId, GeoPoint, BufferResult | SparseNetworkError]] = []
@@ -330,8 +334,7 @@ def privatize_trajectories(
     drew for it.  Returns the surviving privatized trips keyed by their
     position in the planned corpus plus the decision report.
     """
-    if not (0.0 < epsilon < math.inf):
-        raise ValueError(f"epsilon must be finite and positive: {epsilon}")
+    validate_epsilon(epsilon)
 
     excluded = dict(plan.excluded)
 
@@ -404,14 +407,17 @@ def privatize_aggregate(
     gps_corpus: Sequence[GpsTrajectory],
     net: RoadNetwork,
     cfg: PrivacyConfig,
+    epsilon: float,
     match_cfg: MatchConfig = MatchConfig(),
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
     matched: Sequence[LinkTrajectory | None] | None = None,
 ) -> tuple[AggregatedMobilityNetwork, PrivatizationReport]:
-    """Privatize the trips of a corpus inside ``window`` and aggregate them."""
+    """Privatize the trips of a corpus inside ``window`` at ``epsilon`` and
+    aggregate them.  A bad ``epsilon`` is rejected before any matching."""
+    validate_epsilon(epsilon)
     plan = plan_endpoints(gps_corpus, net, cfg, match_cfg, utc_offset_hours, window, matched)
-    out, report = privatize_trajectories(plan, net, cfg.epsilon)
+    out, report = privatize_trajectories(plan, net, epsilon)
     agg = aggregate(list(out.values()), window=window, source=SOURCE_DP_ANI)
     return agg, report
 

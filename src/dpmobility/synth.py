@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NoPathError
 from .geometry import EARTH_RADIUS_M, GeoPoint, displace, haversine_distance
 from .network import Link, LinkId, NodeId, RoadNetwork
-from .trajectories import GpsSample, GpsTrajectory, LinkTrajectory
+from .trajectories import GpsSample, GpsTrajectory, LinkTrajectory, Window
 
 # Anchor of the generated grid; arbitrary mid-latitude location.
 BASE_LAT = 37.80
@@ -81,6 +81,7 @@ class SynthTripConfig:
             raise ValueError("repeat_fraction must lie in [0, 1]")
         if self.gps_interval_s <= 0.0:
             raise ValueError("gps interval must be positive")
+        Window(self.hour_window, frozenset())  # checks the hour range
 
 
 def _node_id(r: int, c: int) -> NodeId:

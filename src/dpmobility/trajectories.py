@@ -136,23 +136,36 @@ def weekday_label(d: date) -> str:
     return WEEKDAY_LABELS[d.weekday()]
 
 
+@dataclass(frozen=True)
+class Window:
+    """Half-open local hour range plus weekday labels; a GPS trip is inside
+    when its origin timestamp, read at a UTC offset, falls in both."""
+
+    hours: tuple[int, int]
+    days: frozenset[str]
+
+    def __post_init__(self):
+        h0, h1 = self.hours
+        if not (0 <= h0 < h1 <= 24):
+            raise ValueError(f"invalid hour window: {self.hours}")
+        bad = set(self.days) - set(WEEKDAY_LABELS)
+        if bad:
+            raise ValueError(f"unknown weekday labels: {sorted(bad)}")
+
+    def contains(self, trip: GpsTrajectory, utc_offset_hours: float = DEFAULT_UTC_OFFSET_H) -> bool:
+        day, hour = local_day_hour(trip.samples[0].t, utc_offset_hours)
+        return self.hours[0] <= hour < self.hours[1] and weekday_label(day) in self.days
+
+    def label(self) -> str:
+        return f"{self.hours[0]:02d}-{self.hours[1]:02d}/" + ",".join(sorted(self.days))
+
+
 def window_filter(
     corpus: Sequence[GpsTrajectory],
     hour_window: tuple[int, int],
     days: frozenset[str] | set[str],
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
 ) -> list[GpsTrajectory]:
-    """Keep trips whose origin timestamp falls in ``[h_start, h_end)`` on a
-    selected weekday.  Idempotent."""
-    h0, h1 = hour_window
-    if not (0 <= h0 < h1 <= 24):
-        raise ValueError(f"invalid hour window: {hour_window}")
-    bad = set(days) - set(WEEKDAY_LABELS)
-    if bad:
-        raise ValueError(f"unknown weekday labels: {sorted(bad)}")
-    out = []
-    for g in corpus:
-        day, hour = local_day_hour(g.samples[0].t, utc_offset_hours)
-        if h0 <= hour < h1 and weekday_label(day) in days:
-            out.append(g)
-    return out
+    """Keep the trips inside ``Window(hour_window, days)``.  Idempotent."""
+    window = Window(tuple(hour_window), frozenset(days))
+    return [g for g in corpus if window.contains(g, utc_offset_hours)]

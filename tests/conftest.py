@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dpmobility
+import dpmobility.privatize as privatize_module
 from dpmobility.geometry import EARTH_RADIUS_M, GeoPoint, haversine_distance
 from dpmobility.network import Link, RoadNetwork
 from dpmobility.synth import SynthCityConfig, generate_city
@@ -89,3 +90,17 @@ def child_env(**overrides: str) -> dict[str, str]:
 def city20() -> RoadNetwork:
     return generate_city(SynthCityConfig(rows=20, cols=20, spacing_m=100.0,
                                          arterial_every=5, seed=42))
+
+
+@pytest.fixture
+def match_calls(monkeypatch) -> list[GpsTrajectory]:
+    """The GPS trips passed to ``match_trajectory`` during the test, in call order."""
+    calls: list[GpsTrajectory] = []
+    real = privatize_module.match_trajectory
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(privatize_module, "match_trajectory", counting)
+    return calls

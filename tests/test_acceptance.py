@@ -70,7 +70,7 @@ def corpus(city):
 def sweeps(city, corpus):
     """Model sweep per aggregation level; the 6-day run is timed."""
     gps, _ = corpus
-    cfg = PrivacyConfig(epsilon=1.0, global_seed=42)
+    cfg = PrivacyConfig(global_seed=42)
     out = {}
     for n_days in (1, 3, 6):
         keep = set(DAYS[:n_days])
@@ -176,7 +176,7 @@ class TestAcceptance:
         # epsilon-independent models must emit identical rows whatever the
         # requested epsilon list
         gps, _ = corpus
-        cfg = PrivacyConfig(epsilon=1.0, global_seed=42)
+        cfg = PrivacyConfig(global_seed=42)
         baselines = ("trip-remove", "od-remove", "od-successive")
         rows_a = compare(gps, city, cfg, epsilons=(0.05,), models=baselines)
         rows_b = compare(gps, city, cfg, epsilons=(15.0,), models=baselines)
@@ -207,7 +207,7 @@ class TestAcceptance:
         ]
 
         def perturbed_ods(seed):
-            plan = plan_endpoints(trips, city, PrivacyConfig(epsilon=0.5, global_seed=seed))
+            plan = plan_endpoints(trips, city, PrivacyConfig(global_seed=seed))
             out, rep = privatize_trajectories(plan, city, 0.5)
             assert rep.endpoints_perturbed == 2 * len(trips)
             return {(t.links[0], t.links[-1]) for t in out.values()}

@@ -106,6 +106,12 @@ class TestPrivatizeCommand:
         ("--initial-buffer", "0"),
         ("--buffer-step", "nan"),
         ("--h1", "-1"),
+        ("--epsilon", "0"),
+        ("--epsilon", "-1"),
+        ("--epsilon", "nan"),
+        ("--epsilon", "inf"),
+        ("--hour-window", "14-13"),
+        ("--days", "T,XX"),
     ])
     def test_malformed_option_exit_2(self, inputs, tmp_path, option):
         _, net, trips, _ = inputs
@@ -134,11 +140,13 @@ class TestCompareCommand:
 
     def test_unknown_model_exit_2(self, inputs, tmp_path):
         _, net, trips, _ = inputs
+        out = tmp_path / "x"
         code = main([
             "compare", "--network", str(net), "--trips", str(trips),
-            "--models", "raw,nonsense", "--out", str(tmp_path / "x"),
+            "--models", "raw,nonsense", "--out", str(out),
         ])
         assert code == 2
+        assert not out.exists()
 
     def test_nonpositive_epsilon_exit_2(self, inputs, tmp_path):
         _, net, trips, _ = inputs

@@ -149,7 +149,7 @@ class TestAggregationAndReportFiles:
 
     def test_report_round_trip(self, setup):
         net, gps, _, tmp = setup
-        _, report = privatize_aggregate(gps, net, PrivacyConfig(epsilon=0.5, global_seed=4))
+        _, report = privatize_aggregate(gps, net, PrivacyConfig(global_seed=4), 0.5)
         path = tmp / "report.csv"
         formats.save_report_csv(report, path)
         loaded = formats.load_report_csv(path)

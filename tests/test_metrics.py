@@ -62,15 +62,17 @@ class TestAggregate:
         agg = aggregate([lt(["a", "b"]), lt(["a", "b"])])
         assert agg.counts == {"a": 2, "b": 2}
 
-    def test_window_filtering(self):
+    def test_window_only_labels(self):
+        # Callers window GPS trips before matching; aggregate counts every
+        # trip it is given and records the window.
         window = Window((13, 14), frozenset({"T"}))
         trips = [
-            lt(["a"], day="2026-01-06", hour=13),   # Tuesday, in window
-            lt(["b"], day="2026-01-06", hour=12),   # wrong hour
-            lt(["c"], day="2026-01-07", hour=13),   # Wednesday
+            lt(["a"], day="2026-01-06", hour=13),
+            lt(["b"], day="2026-01-06", hour=12),
+            lt(["c"], day="2026-01-07", hour=13),
         ]
         agg = aggregate(trips, window=window)
-        assert agg.counts == {"a": 1}
+        assert agg.counts == {"a": 1, "b": 1, "c": 1}
         assert agg.window == window
 
     def test_counts_match_oracle(self, city20):
@@ -207,7 +209,7 @@ class TestUnchangedSingleCountOd:
         # in place: two counted decisions, one unchanged link.
         for epsilon, seed in ((2.0, 6), (2.0, 0), (15.0, 0)):
             plan = plan_endpoints(corpus, city20,
-                                  PrivacyConfig(epsilon=epsilon, global_seed=seed),
+                                  PrivacyConfig(global_seed=seed),
                                   matched=matched)
             out, report = privatize_trajectories(plan, city20, epsilon)
             priv_agg = aggregate(list(out.values()), source="dp-ani")
@@ -238,14 +240,14 @@ def small_setup(city20):
 class TestCompare:
     def test_raw_only_single_row(self, small_setup):
         net, corpus = small_setup
-        rows = compare(corpus, net, PrivacyConfig(epsilon=1.0), models=("raw",))
+        rows = compare(corpus, net, PrivacyConfig(), models=("raw",))
         assert len(rows) == 1
         assert rows[0]["model"] == "raw"
         assert rows[0]["privatized_ratio"] == 0.0
 
     def test_row_count_full_sweep(self, small_setup):
         net, corpus = small_setup
-        rows = compare(corpus, net, PrivacyConfig(epsilon=1.0, global_seed=1),
+        rows = compare(corpus, net, PrivacyConfig(global_seed=1),
                        epsilons=(0.05, 1.0, 15.0))
         # raw + 3 baselines once, dp-ani per epsilon
         assert len(rows) == 4 + 3
@@ -253,7 +255,7 @@ class TestCompare:
 
     def test_baseline_rows_constant_across_epsilons(self, small_setup):
         net, corpus = small_setup
-        cfg = PrivacyConfig(epsilon=1.0, global_seed=2)
+        cfg = PrivacyConfig(global_seed=2)
         baselines = ("trip-remove", "od-remove", "od-successive")
         rows_a = compare(corpus, net, cfg, epsilons=(0.05,), models=baselines)
         rows_b = compare(corpus, net, cfg, epsilons=(15.0,), models=baselines)
@@ -261,7 +263,7 @@ class TestCompare:
 
     def test_dp_ani_rows_distinct_and_deterministic(self, small_setup):
         net, corpus = small_setup
-        cfg = PrivacyConfig(epsilon=1.0, global_seed=3)
+        cfg = PrivacyConfig(global_seed=3)
         rows1 = compare(corpus, net, cfg, epsilons=(0.05, 15.0), models=("dp-ani",))
         rows2 = compare(corpus, net, cfg, epsilons=(0.05, 15.0), models=("dp-ani",))
         assert rows1 == rows2
@@ -270,7 +272,7 @@ class TestCompare:
     def test_unknown_model_rejected(self, small_setup):
         net, corpus = small_setup
         with pytest.raises(ValueError):
-            compare(corpus, net, PrivacyConfig(epsilon=1.0), models=("bogus",))
+            compare(corpus, net, PrivacyConfig(), models=("bogus",))
 
     def test_removal_only_shrinks(self, small_setup):
         from dpmobility.privatize import match_corpus, trip_remove
@@ -288,7 +290,7 @@ class TestCompare:
         net, corpus = small_setup
         # A 100 m cap leaves some fired ends without a buffer, so the sweep
         # also carries sparse-network exclusions.
-        cfg = PrivacyConfig(epsilon=1.0, global_seed=4, max_buffer_m=100.0)
+        cfg = PrivacyConfig(global_seed=4, max_buffer_m=100.0)
         epsilons = (0.05, 1.0, 15.0)
         matched, _ = match_corpus(corpus, net)
 
@@ -340,20 +342,32 @@ class TestCompare:
             raise AssertionError("select_radius called without a dp-ani model")
 
         monkeypatch.setattr(privatize_module, "select_radius", fail)
-        rows = compare(corpus, net, PrivacyConfig(epsilon=1.0),
+        rows = compare(corpus, net, PrivacyConfig(),
                        models=("raw", "trip-remove", "od-remove", "od-successive"))
         assert len(rows) == 4
 
-    def test_nonpositive_epsilon_rejected(self, small_setup):
+    def test_nonpositive_epsilon_rejected(self, small_setup, match_calls):
         net, corpus = small_setup
         with pytest.raises(ValueError):
-            compare(corpus, net, PrivacyConfig(epsilon=1.0), epsilons=(0.0,))
+            compare(corpus, net, PrivacyConfig(), epsilons=(0.0,))
+        for epsilon in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                compare(corpus, net, PrivacyConfig(), epsilons=(1.0, epsilon))
+        assert match_calls == []
+
+    def test_window_trips_matched_once(self, small_setup, match_calls):
+        net, corpus = small_setup
+        window = Window((13, 14), frozenset({"T"}))
+        in_window = window_filter(corpus, window.hours, window.days)
+        assert 0 < len(in_window) < len(corpus)
+        compare(corpus, net, PrivacyConfig(global_seed=5), epsilons=(0.05, 15.0), window=window)
+        assert [id(g) for g in match_calls] == [id(g) for g in in_window]
 
     def test_window_applies_before_every_model(self, small_setup):
         # small_setup spans a Tuesday and a Wednesday; release Tuesdays only.
         net, corpus = small_setup
         window = Window((13, 14), frozenset({"T"}))
-        cfg = PrivacyConfig(epsilon=1.0, global_seed=5)
+        cfg = PrivacyConfig(global_seed=5)
         in_window = window_filter(corpus, window.hours, window.days, -8.0)
         assert 0 < len(in_window) < len(corpus)
         rows = compare(corpus, net, cfg, epsilons=(1.0,), window=window)

@@ -120,8 +120,9 @@ class TestInverseCdf:
             inverse_cdf_radius(1.0, 1.0)
         with pytest.raises(ValueError):
             inverse_cdf_radius(1.0, -0.1)
-        with pytest.raises(ValueError):
-            inverse_cdf_radius(0.0, 0.5)
+        for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                inverse_cdf_radius(epsilon, 0.5)
 
 
 class TestSampler:
@@ -143,8 +144,9 @@ class TestSampler:
         assert theta.min() >= 0.0 and theta.max() < 2.0 * math.pi
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            NoiseParams(0.0, 1.0)
+        for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NoiseParams(epsilon, 1.0)
         with pytest.raises(ValueError):
             NoiseParams(1.0, -5.0)
 

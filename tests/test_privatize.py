@@ -23,9 +23,10 @@ from dpmobility.privatize import (
     trip_remove,
 )
 from dpmobility.synth import SynthTripConfig, generate_trips
-from dpmobility.trajectories import LinkTrajectory
+from dpmobility.geometry import GeoPoint
+from dpmobility.trajectories import GpsSample, GpsTrajectory, LinkTrajectory, window_filter
 
-from conftest import trip_along_route
+from conftest import local_epoch, trip_along_route
 
 DAYS = ("2026-01-06", "2026-01-07", "2026-01-08", "2026-01-13", "2026-01-14", "2026-01-15")
 
@@ -35,10 +36,10 @@ def lt(links, device="d", day="2026-01-06", hour=13):
                           links=tuple(links))
 
 
-def draw(corpus, net, cfg, matched=None):
-    """One release of ``corpus`` at ``cfg.epsilon``, from a fresh plan."""
+def draw(corpus, net, cfg, epsilon, matched=None):
+    """One release of ``corpus`` at ``epsilon``, from a fresh plan."""
     plan = plan_endpoints(corpus, net, cfg, matched=matched)
-    return privatize_trajectories(plan, net, cfg.epsilon)
+    return privatize_trajectories(plan, net, epsilon)
 
 
 class TestLinkCounts:
@@ -104,8 +105,8 @@ class TestPrivatizePipeline:
         # and no endpoint pair repeats within one device.
         t1 = trip_along_route(city20, "n011_011", "n011_014", DAYS[0], device="da")
         t2 = trip_along_route(city20, "n011_011", "n011_014", DAYS[0], device="db", hh=13, mm=50)
-        cfg = PrivacyConfig(epsilon=0.05, global_seed=1)
-        agg, report = privatize_aggregate([t1, t2], city20, cfg)
+        cfg = PrivacyConfig(global_seed=1)
+        agg, report = privatize_aggregate([t1, t2], city20, cfg, 0.05)
         matched, _ = match_corpus([t1, t2], city20)
         assert report.endpoints_perturbed == 0
         assert agg.counts == compute_link_counts(matched)
@@ -115,41 +116,18 @@ class TestPrivatizePipeline:
         # Nothing fires in this corpus, so only the draw itself can reject.
         t1 = trip_along_route(city20, "n011_011", "n011_014", DAYS[0], device="da")
         t2 = trip_along_route(city20, "n011_011", "n011_014", DAYS[0], device="db", hh=13, mm=50)
-        plan = plan_endpoints([t1, t2], city20, PrivacyConfig(epsilon=1.0))
+        plan = plan_endpoints([t1, t2], city20, PrivacyConfig())
         assert plan.fired == {}
-        for epsilon in (0.0, -1.0, float("nan")):
+        for epsilon in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 privatize_trajectories(plan, city20, epsilon)
 
-    @pytest.mark.parametrize("max_buffer_m", [60.0, 5000.0])
-    def test_plan_ignores_config_epsilon(self, city20, max_buffer_m):
-        # At a 60 m cap every fired end is sparse; at 5 km each gets a buffer.
-        cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=16)
-        corpus, _ = generate_trips(city20, cfg_trips)
-        matched, _ = match_corpus(corpus, city20)
-        plans = [
-            plan_endpoints(corpus, city20, PrivacyConfig(epsilon=eps, global_seed=3,
-                                                         max_buffer_m=max_buffer_m),
-                           matched=matched)
-            for eps in (0.05, 15.0)
-        ]
-
-        def buffers(plan):
-            return {
-                key: (f.link, f.point, f.buffer if isinstance(f.buffer, BufferResult)
-                      else (type(f.buffer), str(f.buffer)))
-                for key, f in plan.fired.items()
-            }
-
-        assert plans[0].fired
-        assert plans[0].fired.keys() == plans[1].fired.keys()
-        assert buffers(plans[0]) == buffers(plans[1])
-        assert plans[0].counts == plans[1].counts
-        assert plans[0].repeated == plans[1].repeated
-        assert plans[0].trips == plans[1].trips
-        assert plans[0].excluded == plans[1].excluded
-        assert privatize_trajectories(plans[0], city20, 1.0) == \
-            privatize_trajectories(plans[1], city20, 1.0)
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected_before_matching(self, city20, match_calls, epsilon):
+        trip = trip_along_route(city20, "n011_011", "n011_014", DAYS[0])
+        with pytest.raises(ValueError):
+            privatize_aggregate([trip], city20, PrivacyConfig(), epsilon)
+        assert match_calls == []
 
     def test_unique_origin_moves_across_seeds(self, city20):
         trip = trip_along_route(city20, "n011_011", "n011_014", DAYS[0])
@@ -157,7 +135,7 @@ class TestPrivatizePipeline:
         original = matched[0].links[0]
         moved = 0
         for seed in range(100):
-            out, _ = draw([trip], city20, PrivacyConfig(epsilon=0.05, global_seed=seed))
+            out, _ = draw([trip], city20, PrivacyConfig(global_seed=seed), 0.05)
             if out and out[0].links[0] != original:
                 moved += 1
         assert moved >= 90
@@ -169,7 +147,7 @@ class TestPrivatizePipeline:
         matched, _ = match_corpus(corpus, city20)
         counts = compute_link_counts(t for t in matched if t is not None)
         repeated = detect_repeated_od(matched)
-        _, report = draw(corpus, city20, PrivacyConfig(epsilon=1.0, global_seed=5), matched)
+        _, report = draw(corpus, city20, PrivacyConfig(global_seed=5), 1.0, matched)
         for dec in report.decisions:
             trip = matched[dec.trip]
             should_fire = counts[dec.original_link] == 1 or dec.trip in repeated
@@ -184,7 +162,7 @@ class TestPrivatizePipeline:
         cfg_trips = SynthTripConfig(n_trips=120, n_devices=60, days=(date(2026, 1, 6),),
                                     repeat_fraction=0.1, seed=12)
         corpus, _ = generate_trips(city20, cfg_trips)
-        _, report = draw(corpus, city20, PrivacyConfig(epsilon=0.1, global_seed=3))
+        _, report = draw(corpus, city20, PrivacyConfig(global_seed=3), 0.1)
         perturbed = [d for d in report.decisions if d.perturbed]
         assert perturbed
         for dec in perturbed:
@@ -194,9 +172,9 @@ class TestPrivatizePipeline:
     def test_deterministic_output(self, city20):
         cfg_trips = SynthTripConfig(n_trips=60, n_devices=30, days=(date(2026, 1, 6),), seed=13)
         corpus, _ = generate_trips(city20, cfg_trips)
-        cfg = PrivacyConfig(epsilon=0.5, global_seed=21)
-        agg1, rep1 = privatize_aggregate(corpus, city20, cfg)
-        agg2, rep2 = privatize_aggregate(corpus, city20, cfg)
+        cfg = PrivacyConfig(global_seed=21)
+        agg1, rep1 = privatize_aggregate(corpus, city20, cfg, 0.5)
+        agg2, rep2 = privatize_aggregate(corpus, city20, cfg, 0.5)
         assert agg1.counts == agg2.counts
         assert rep1.decisions == rep2.decisions
 
@@ -205,7 +183,7 @@ class TestPrivatizePipeline:
             trip_along_route(city20, "n011_011", "n011_014", day, device="commuter")
             for day in DAYS
         ]
-        out, report = draw(trips, city20, PrivacyConfig(epsilon=0.5, global_seed=1))
+        out, report = draw(trips, city20, PrivacyConfig(global_seed=1), 0.5)
         assert report.endpoints_perturbed == 2 * len(trips)
         ods = {(t.links[0], t.links[-1]) for t in out.values()}
         assert len(ods) == 1
@@ -218,7 +196,7 @@ class TestPrivatizePipeline:
         matched, _ = match_corpus(trips, city20)
         out, report = draw(
             trips, city20,
-            PrivacyConfig(epsilon=0.5, global_seed=1, perturb_repeated=False),
+            PrivacyConfig(global_seed=1, perturb_repeated=False), 0.5,
             matched,
         )
         assert report.endpoints_perturbed == 0
@@ -227,7 +205,7 @@ class TestPrivatizePipeline:
     def test_report_accounting(self, city20):
         cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=14)
         corpus, _ = generate_trips(city20, cfg_trips)
-        _, report = draw(corpus, city20, PrivacyConfig(epsilon=0.05, global_seed=9))
+        _, report = draw(corpus, city20, PrivacyConfig(global_seed=9), 0.05)
         assert report.trips_out + report.trips_excluded == report.trips_in
 
     def test_single_count_postcondition(self, city20):
@@ -237,7 +215,7 @@ class TestPrivatizePipeline:
         corpus, _ = generate_trips(city20, cfg_trips)
         matched, _ = match_corpus(corpus, city20)
         counts = compute_link_counts(t for t in matched if t is not None)
-        out, report = draw(corpus, city20, PrivacyConfig(epsilon=5.0, global_seed=2), matched)
+        out, report = draw(corpus, city20, PrivacyConfig(global_seed=2), 5.0, matched)
         new_counts = compute_link_counts(out.values())
         survivors = 0
         for dec in report.decisions:
@@ -262,11 +240,11 @@ class TestPrivacyConfig:
     ])
     def test_rejects_bad_thresholds_and_buffers(self, kwargs):
         with pytest.raises(ValueError):
-            PrivacyConfig(epsilon=1.0, **kwargs)
+            PrivacyConfig(**kwargs)
 
     def test_accepts_boundary_values(self):
-        PrivacyConfig(epsilon=1.0, h1=3, h2=3)
-        PrivacyConfig(epsilon=1.0, h1=0, h2=0, initial_buffer_m=1e-3, buffer_step_m=1e-3,
+        PrivacyConfig(h1=3, h2=3)
+        PrivacyConfig(h1=0, h2=0, initial_buffer_m=1e-3, buffer_step_m=1e-3,
                       max_buffer_m=1e-3)
 
 
@@ -278,7 +256,7 @@ class TestPlannedNoise:
         cfg_trips = SynthTripConfig(n_trips=120, n_devices=60, days=(date(2026, 1, 6),),
                                     repeat_fraction=0.1, seed=12)
         corpus, _ = generate_trips(city20, cfg_trips)
-        plan = plan_endpoints(corpus, city20, PrivacyConfig(epsilon=1.0, global_seed=29))
+        plan = plan_endpoints(corpus, city20, PrivacyConfig(global_seed=29))
         assert len(plan.fired) >= 20
         for (_, end), fired in plan.fired.items():
             assert isinstance(fired.buffer, BufferResult)
@@ -294,27 +272,32 @@ class TestPlannedNoise:
     def test_sparse_ends_carry_no_noise(self, city20):
         cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=16)
         corpus, _ = generate_trips(city20, cfg_trips)
-        plan = plan_endpoints(corpus, city20, PrivacyConfig(epsilon=1.0, max_buffer_m=60.0))
+        plan = plan_endpoints(corpus, city20, PrivacyConfig(max_buffer_m=60.0))
         assert plan.fired
         for fired in plan.fired.values():
             assert fired.theta is None and fired.unit_radius is None
 
 
+def two_day_corpus(net):
+    """Trips on a Monday and a Tuesday; the tests release Tuesdays only."""
+    cfg_trips = SynthTripConfig(n_trips=300, n_devices=150,
+                                days=(date(2026, 1, 5), date(2026, 1, 6)), seed=42)
+    corpus, _ = generate_trips(net, cfg_trips)
+    return corpus, Window((13, 14), frozenset({"T"}))
+
+
 class TestWindowBeforeCounting:
     def test_rule_holds_for_the_released_window(self, city20):
-        # Trips on a Monday and a Tuesday, released for Tuesdays only.  A
-        # link traversed once on Tuesday and again on Monday has an
+        # A link traversed once on Tuesday and again on Monday has an
         # in-window count of 1, so its Tuesday endpoint must be perturbed.
-        cfg_trips = SynthTripConfig(n_trips=300, n_devices=150,
-                                    days=(date(2026, 1, 5), date(2026, 1, 6)), seed=42)
-        corpus, _ = generate_trips(city20, cfg_trips)
-        window = Window((13, 14), frozenset({"T"}))
+        corpus, window = two_day_corpus(city20)
         matched, _ = match_corpus(corpus, city20)
-        in_window = [t if t is not None and window.contains(t) else None for t in matched]
+        in_window = [t if window.contains(g) else None for g, t in zip(corpus, matched)]
         counts = compute_link_counts(t for t in in_window if t is not None)
         repeated = detect_repeated_od(in_window)
-        cfg = PrivacyConfig(epsilon=1.0)
-        agg, report = privatize_aggregate(corpus, city20, cfg, window=window, matched=matched)
+        cfg = PrivacyConfig()
+        agg, report = privatize_aggregate(corpus, city20, cfg, 1.0, window=window,
+                                          matched=matched)
 
         required = {
             (i, end)
@@ -327,19 +310,44 @@ class TestWindowBeforeCounting:
         assert required & released
         assert perturbed == required & released
         assert {trip for trip, _ in released} <= {i for i, t in enumerate(in_window) if t}
-        assert report.excluded["out_of_window"] == sum(
-            1 for t in matched if t is not None and not window.contains(t)
+        assert report.excluded["out_of_window"] == (
+            len(corpus) - len(window_filter(corpus, window.hours, window.days))
         )
         assert report.trips_out + report.trips_excluded == report.trips_in
 
         # Filtering the corpus to the window first releases the same result.
         kept = [i for i, t in enumerate(in_window) if t is not None]
         agg_kept, report_kept = privatize_aggregate(
-            [corpus[i] for i in kept], city20, cfg, window=window,
+            [corpus[i] for i in kept], city20, cfg, 1.0, window=window,
             matched=[matched[i] for i in kept],
         )
         assert agg_kept.counts == agg.counts
         assert [replace(d, trip=kept[d.trip]) for d in report_kept.decisions] == report.decisions
+
+
+class TestWindowBeforeMatching:
+    def test_plan_matches_only_trips_in_the_window(self, city20, match_calls):
+        corpus, window = two_day_corpus(city20)
+        in_window = window_filter(corpus, window.hours, window.days)
+        assert 0 < len(in_window) < len(corpus)
+        plan = plan_endpoints(corpus, city20, PrivacyConfig(), window=window)
+        assert [id(g) for g in match_calls] == [id(g) for g in in_window]
+        assert plan.excluded["out_of_window"] == len(corpus) - len(in_window)
+        assert all(window.contains(corpus[i]) for i in plan.trips)
+
+    def test_unmatchable_trip_outside_the_window_is_out_of_window(self, city20):
+        # Monday, far from every node: outside a Tuesday window and unmatchable.
+        t0 = local_epoch("2026-01-05")
+        far = GeoPoint(0.0, 0.0)
+        stray = GpsTrajectory("stray", (GpsSample("stray", t0, far),
+                                        GpsSample("stray", t0 + 30.0, far)))
+        inside = trip_along_route(city20, "n011_011", "n011_014", "2026-01-06")
+        tuesdays = Window((13, 14), frozenset({"T"}))
+        cfg = PrivacyConfig(max_buffer_m=60.0)
+        assert plan_endpoints([stray, inside], city20, cfg).excluded == {"unmatchable": 1}
+        plan = plan_endpoints([stray, inside], city20, cfg, window=tuesdays)
+        assert plan.excluded == {"out_of_window": 1}
+        assert list(plan.trips) == [1]
 
 
 class TestBaselines:

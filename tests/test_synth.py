@@ -56,6 +56,11 @@ class TestGenerateCity:
 
 
 class TestGenerateTrips:
+    @pytest.mark.parametrize("hours", [(14, 13), (20, 25)])
+    def test_rejects_bad_hour_window(self, hours):
+        with pytest.raises(ValueError):
+            SynthTripConfig(n_trips=1, n_devices=1, days=TWO_DAYS, hour_window=hours)
+
     def test_deterministic(self, city20):
         cfg = SynthTripConfig(n_trips=30, n_devices=15, days=TWO_DAYS, seed=31)
         a_gps, a_truth = generate_trips(city20, cfg)

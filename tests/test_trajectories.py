@@ -146,3 +146,8 @@ class TestWindowFilter:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             window_filter([], (13, 14), {"XX"})
+
+    @pytest.mark.parametrize("hours", [(14, 13), (13, 13), (-1, 2), (23, 25)])
+    def test_rejects_bad_hours(self, hours):
+        with pytest.raises(ValueError):
+            window_filter([], hours, {"T"})
