@@ -141,9 +141,6 @@ def _config_echo(args) -> dict:
 
 def cmd_privatize(args) -> int:
     net, corpus, window = _load_windowed_corpus(args)
-    if not corpus:
-        print("no trips in the requested window", file=sys.stderr)
-        return EXIT_EMPTY_WINDOW
     match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
     agg, report = privatize_aggregate(
         corpus, net, _privacy_config(args), args.epsilon, match_cfg, args.utc_offset,
@@ -174,9 +171,6 @@ def cmd_privatize(args) -> int:
 
 def cmd_compare(args) -> int:
     net, corpus, window = _load_windowed_corpus(args)
-    if not corpus:
-        print("no trips in the requested window", file=sys.stderr)
-        return EXIT_EMPTY_WINDOW
     models = tuple(part.strip() for part in args.models.split(",") if part.strip())
     match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
     rows = compare(
@@ -187,6 +181,9 @@ def cmd_compare(args) -> int:
         utc_offset_hours=args.utc_offset,
         window=window,
     )
+    if not corpus:
+        print("no trips in the requested window", file=sys.stderr)
+        return EXIT_EMPTY_WINDOW
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "compare.csv"

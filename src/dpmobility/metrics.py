@@ -170,12 +170,28 @@ def compare(
         validate_epsilon(eps)
 
     raw_trips, left_out = match_window(gps_corpus, net, match_cfg, utc_offset_hours, window)
-    raw_corpus = list(raw_trips.values())
-    raw_agg = aggregate(raw_corpus, window=window)
+    raw_agg = aggregate(list(raw_trips.values()), window=window)
     raw_ods = {i: (t.links[0], t.links[-1]) for i, t in raw_trips.items()}
 
-    def row(model, epsilon, corpus, agg, unchanged, ratio, excluded):
-        return {
+    def releases():
+        """(model, epsilon, released trips keyed by corpus position)."""
+        for model in models:
+            if model == MODEL_RAW:
+                yield model, None, raw_trips
+            elif model in _BASELINES:
+                aligned = _BASELINES[model](list(raw_trips.values()))
+                yield model, None, {i: t for i, t in zip(raw_trips, aligned) if t is not None}
+            else:  # adaptive noise: one plan, one draw per epsilon
+                plan = _plan(gps_corpus, net, cfg, raw_trips, left_out)
+                for eps in epsilons:
+                    yield model, eps, privatize_trajectories(plan, net, eps)[0]
+
+    rows = []
+    for model, epsilon, released in releases():
+        corpus = list(released.values())
+        agg = aggregate(corpus, window=window, source=model)
+        unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, agg, released)
+        rows.append({
             "model": model,
             "epsilon": epsilon,
             "network_length_mi": network_length(agg, net),
@@ -184,35 +200,6 @@ def compare(
             "vhd_h": vhd(corpus, net),
             "unchanged_slc_od": unchanged,
             "privatized_ratio": ratio,
-            "trips_excluded": excluded,
-        }
-
-    rows = []
-    for model in models:
-        if model == MODEL_RAW:
-            unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, raw_agg, raw_trips)
-            excluded = len(gps_corpus) - len(raw_corpus)
-            rows.append(row(model, None, raw_corpus, raw_agg, unchanged, ratio, excluded))
-        elif model in _BASELINES:
-            aligned = _BASELINES[model](raw_corpus)
-            index = list(raw_trips)
-            transformed = {
-                index[pos]: t for pos, t in enumerate(aligned) if t is not None
-            }
-            corpus = list(transformed.values())
-            agg = aggregate(corpus, window=window, source=model)
-            unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, agg, transformed)
-            rows.append(
-                row(model, None, corpus, agg, unchanged, ratio, len(gps_corpus) - len(corpus))
-            )
-        else:  # adaptive noise: one plan, one draw per epsilon
-            plan = _plan(gps_corpus, net, cfg, raw_trips, left_out)
-            for eps in epsilons:
-                out, report = privatize_trajectories(plan, net, eps)
-                corpus = list(out.values())
-                agg = aggregate(corpus, window=window, source=SOURCE_DP_ANI)
-                unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, agg, out)
-                rows.append(
-                    row(SOURCE_DP_ANI, eps, corpus, agg, unchanged, ratio, report.trips_excluded)
-                )
+            "trips_excluded": len(gps_corpus) - len(released),
+        })
     return rows

@@ -172,9 +172,6 @@ class RoadNetwork:
 
         self._cells_min = (int(cells_min[0]), int(cells_min[1]))
         self._cells_max = (int(cells_max[0]), int(cells_max[1]))
-        span_x = (self._cells_max[0] - self._cells_min[0] + 2) * GRID_CELL_M
-        span_y = (self._cells_max[1] - self._cells_min[1] + 2) * GRID_CELL_M
-        self._span_m = math.hypot(span_x, span_y)
 
     # -- spatial queries ------------------------------------------------
 
@@ -196,7 +193,7 @@ class RoadNetwork:
           so with ``m = cos(|phic| + radius/R)``,
           ``|dlam| <= 2*asin(radius/(2*R*m))``.  This is the planar bound
           ``radius/(R*m)`` times the ``(dlam/2)/sin(dlam/2)`` factor.
-        * East-west, planar (``RadiusScan``, ``nearest_link``): the
+        * East-west, planar (``RadiusScan``): the
           centre's frame measures ``R*dlam*cos(phic)`` east, so the closest
           point of a link has ``|dlam| <= radius/(R*cos(phic))``, which
           the haversine bound above contains.  Both frames are affine maps
@@ -224,9 +221,6 @@ class RoadNetwork:
         ix1 = min(math.floor((x + half_w) / GRID_CELL_M), self._cells_max[0])
         iy1 = min(math.floor((y + half_h) / GRID_CELL_M), self._cells_max[1])
         return (ix0, iy0), (ix1, iy1)
-
-    def _candidate_links(self, center: GeoPoint, radius: float) -> set[LinkId]:
-        return self._links_in_cells(self._cells_in_range(center, radius))
 
     def _links_in_cells(
         self, box: tuple[tuple[int, int], tuple[int, int]]
@@ -256,29 +250,14 @@ class RoadNetwork:
         """Exactly the links whose geometry comes within ``radius`` of ``center``."""
         return RadiusScan(self, center).within(radius)
 
-    def nearest_link(self, p: GeoPoint, candidates: Collection[LinkId] | None = None) -> LinkId:
-        """Closest link to ``p``; ties broken by smallest link id.
+    def nearest_link(self, p: GeoPoint, candidates: Collection[LinkId]) -> LinkId:
+        """Closest of ``candidates`` to ``p``; ties broken by smallest link id.
 
-        With ``candidates`` given, only those links compete.  Raises
-        :class:`NoCandidateError` on an empty candidate set or network.
+        Raises :class:`NoCandidateError` on an empty candidate set.
         """
-        if candidates is not None:
-            if not candidates:
-                raise NoCandidateError("empty candidate set")
-            return min(candidates, key=lambda lid: (self.distance_to_link(p, lid), lid))
-        if not self.links:
-            raise NoCandidateError("network has no links")
-        r = GRID_CELL_M
-        while r <= self._span_m:
-            hits = [
-                (d, lid)
-                for lid in self._candidate_links(p, r)
-                if (d := self.distance_to_link(p, lid)) <= r
-            ]
-            if hits:
-                return min(hits)[1]
-            r *= 2.0
-        return min(self.links, key=lambda lid: (self.distance_to_link(p, lid), lid))
+        if not candidates:
+            raise NoCandidateError("empty candidate set")
+        return min(candidates, key=lambda lid: (self.distance_to_link(p, lid), lid))
 
     def nearest_node(self, p: GeoPoint, within: float | None = None) -> NodeId | None:
         """Closest node to ``p``; ``None`` if none lies within ``within`` meters."""

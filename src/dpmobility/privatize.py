@@ -15,7 +15,9 @@ fired end's buffer radius, candidate set and noise uniforms (the angle and
 the radius at epsilon 1).  The window applies here, before matching and
 counting, so the rule above holds for exactly the population that is
 released; trips outside it are never matched and are excluded as
-``out_of_window``.  The draw
+``out_of_window``.  A trip with a fired end whose buffer reaches its cap
+before the density thresholds pass cannot be released at any epsilon, so
+the plan excludes it as ``sparse_network``.  The draw
 (:func:`privatize_trajectories`) takes nothing but a plan, the network and
 one epsilon; it scales each planned radius by 1/epsilon, snaps and
 re-routes, so an epsilon sweep builds one plan and draws from it once per
@@ -48,7 +50,7 @@ from .aggregate import AggregatedMobilityNetwork, aggregate, compute_link_counts
 from .errors import DisplacementRangeError, SparseNetworkError, UnmatchableError
 from .matching import MatchConfig, match_noisy_endpoint, match_trajectory, rebuild_trajectory
 from .geometry import GeoPoint, displace
-from .network import LinkId, NodeId, RoadNetwork
+from .network import LinkId, RoadNetwork
 # ``perturb`` is not called here; it stays importable under this module's
 # name because bench/tracing.py wraps ``privatize.perturb``.
 from .noise import perturb  # noqa: F401
@@ -172,43 +174,37 @@ def match_window(
     match_cfg: MatchConfig = MatchConfig(),
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
-    matched: Sequence[LinkTrajectory | None] | None = None,
 ) -> tuple[dict[int, LinkTrajectory], dict[str, int]]:
     """Match the trips of ``gps_corpus`` inside ``window``.
 
     Returns the matched trips keyed by corpus position, plus how many trips
     were left out for each cause (``out_of_window``, ``unmatchable``).
-    Trips outside the window are never matched.  ``matched`` may carry
-    pre-matched link trajectories aligned with ``gps_corpus``.
+    Trips outside the window are never matched.
     """
-    if matched is not None and len(matched) != len(gps_corpus):
-        raise ValueError("matched corpus must align with the GPS corpus")
     kept = [i for i, g in enumerate(gps_corpus)
             if window is None or window.contains(g, utc_offset_hours)]
-    if matched is None:
-        found, _ = match_corpus([gps_corpus[i] for i in kept], net, match_cfg, utc_offset_hours)
-        matched = dict(zip(kept, found))
-    trips = {i: matched[i] for i in kept if matched[i] is not None}
+    found, _ = match_corpus([gps_corpus[i] for i in kept], net, match_cfg, utc_offset_hours)
+    trips = {i: t for i, t in zip(kept, found) if t is not None}
     excluded = {"out_of_window": len(gps_corpus) - len(kept), "unmatchable": len(kept) - len(trips)}
     return trips, {cause: n for cause, n in excluded.items() if n}
 
 
 @dataclass(frozen=True)
 class FiredEnd:
-    """One endpoint the rule requires to be perturbed.
+    """One endpoint the rule requires to be perturbed, of a trip the plan
+    keeps.
 
-    ``buffer`` is the outcome of :func:`select_radius` around ``point``, or
-    the :class:`SparseNetworkError` it raised; neither depends on epsilon.
-    With a buffer, ``theta`` and ``unit_radius`` are the end's noise: the
-    angle and the epsilon-1 radius (see :func:`noise.unit_radius`) drawn
-    from its seeded generator.  Both are ``None`` for a sparse network.
+    ``buffer`` is the outcome of :func:`select_radius` around ``point``;
+    ``theta`` and ``unit_radius`` are the end's noise: the angle and the
+    epsilon-1 radius (see :func:`noise.unit_radius`) drawn from its seeded
+    generator.  None of them depends on epsilon.
     """
 
     link: LinkId
     point: GeoPoint
-    buffer: BufferResult | SparseNetworkError
-    theta: float | None
-    unit_radius: float | None
+    buffer: BufferResult
+    theta: float
+    unit_radius: float
 
     def noisy_point(self, epsilon: float) -> GeoPoint:
         """The perturbed point at ``epsilon``: the same value as
@@ -221,12 +217,15 @@ class FiredEnd:
 class EndpointPlan:
     """The epsilon-independent part of one privatization run.
 
-    ``trips`` maps corpus positions to the matched trips inside the window;
-    ``counts`` and ``repeated`` are computed over exactly those trips, and
-    ``fired`` holds every end that the rule perturbs, keyed by (trip
-    position, ORIGIN or DESTINATION).  ``excluded`` counts the trips
-    dropped before any draw.  ``cfg`` is the configuration the plan was
-    built with; its ``global_seed`` seeds the noise of the fired ends.
+    ``counts`` and ``repeated`` are computed over the matched trips inside
+    the window.  ``trips`` maps corpus positions to those of them the draw
+    re-routes: a trip with a fired end for which :func:`select_radius`
+    raised :class:`SparseNetworkError` is left out and counted as
+    ``sparse_network``.  ``fired`` holds every end of ``trips`` that the
+    rule perturbs, keyed by (trip position, ORIGIN or DESTINATION).
+    ``excluded`` counts the trips dropped before any draw.  ``cfg`` is the
+    configuration the plan was built with; its ``global_seed`` seeds the
+    noise of the fired ends.
     """
 
     cfg: PrivacyConfig
@@ -245,14 +244,13 @@ def plan_endpoints(
     match_cfg: MatchConfig = MatchConfig(),
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
-    matched: Sequence[LinkTrajectory | None] | None = None,
 ) -> EndpointPlan:
     """Window, match and count the corpus, and size the buffer and draw
     the noise uniforms of every fired end.
 
-    See :func:`match_window` for ``window`` and ``matched``.
+    See :func:`match_window` for ``window``.
     """
-    trips, excluded = match_window(gps_corpus, net, match_cfg, utc_offset_hours, window, matched)
+    trips, excluded = match_window(gps_corpus, net, match_cfg, utc_offset_hours, window)
     return _plan(gps_corpus, net, cfg, trips, excluded)
 
 
@@ -268,7 +266,8 @@ def _plan(
     in_window = [trips.get(i) for i in range(len(gps_corpus))]
     repeated = detect_repeated_od(in_window) if cfg.perturb_repeated else set()
 
-    ends: list[tuple[tuple[int, str], LinkId, GeoPoint, BufferResult | SparseNetworkError]] = []
+    ends: list[tuple[tuple[int, str], LinkId, GeoPoint, BufferResult]] = []
+    sparse: set[int] = set()
     for i, trip in trips.items():
         g = gps_corpus[i]
         for end, link, point in (
@@ -288,23 +287,23 @@ def _plan(
                     cfg.buffer_step_m,
                     cfg.max_buffer_m,
                 )
-            except SparseNetworkError as e:
-                buffer = e
+            except SparseNetworkError:
+                sparse.add(i)
+                continue
             ends.append(((i, end), link, point, buffer))
+    if sparse:
+        ends = [e for e in ends if e[0][0] not in sparse]
+        trips = {i: t for i, t in trips.items() if i not in sparse}
+        excluded = {**excluded, "sparse_network": len(sparse)}
 
     # Each end's noise depends only on (global seed, link, end), so it is
     # drawn here once, and the Lambert W of all ends is one array call.
     seeds = SeedRule(cfg.global_seed)
-    uniforms = {
-        key: laplace_uniforms(seeds.generator(link, key[1]))
-        for key, link, _, buffer in ends
-        if isinstance(buffer, BufferResult)
-    }
-    units = unit_radius([p for _, p in uniforms.values()]).tolist()
-    noise = {key: (theta, unit) for (key, (theta, _)), unit in zip(uniforms.items(), units)}
+    uniforms = [laplace_uniforms(seeds.generator(link, key[1])) for key, link, _, _ in ends]
+    units = unit_radius([p for _, p in uniforms]).tolist()
     fired = {
-        key: FiredEnd(link, point, buffer, *noise.get(key, (None, None)))
-        for key, link, point, buffer in ends
+        key: FiredEnd(link, point, buffer, theta, unit)
+        for (key, link, point, buffer), (theta, _), unit in zip(ends, uniforms, units)
     }
 
     return EndpointPlan(
@@ -316,13 +315,6 @@ def _plan(
         repeated=frozenset(repeated),
         fired=fired,
     )
-
-
-def _snap(fired: FiredEnd, net: RoadNetwork, epsilon: float) -> tuple[LinkId, NodeId]:
-    """Perturb one fired end and snap it onto its candidate set."""
-    if isinstance(fired.buffer, SparseNetworkError):
-        raise SparseNetworkError(*fired.buffer.args)
-    return match_noisy_endpoint(fired.noisy_point(epsilon), fired.buffer.buffer_set_fc, net)
 
 
 def privatize_trajectories(
@@ -349,15 +341,13 @@ def privatize_trajectories(
         ends = [(end, plan.fired.get((i, end))) for end in (ORIGIN, DESTINATION)]
         try:
             snaps = [
-                _snap(fired, net, epsilon) if fired else None
+                match_noisy_endpoint(fired.noisy_point(epsilon), fired.buffer.buffer_set_fc, net)
+                if fired else None
                 for _, fired in ends
             ]
             rebuilt = rebuild_trajectory(
                 trip, net, *(snap[1] if snap else None for snap in snaps)
             )
-        except SparseNetworkError:
-            exclude("sparse_network")
-            continue
         except UnmatchableError:
             exclude("unmatchable_rebuild")
             continue
@@ -411,12 +401,11 @@ def privatize_aggregate(
     match_cfg: MatchConfig = MatchConfig(),
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
-    matched: Sequence[LinkTrajectory | None] | None = None,
 ) -> tuple[AggregatedMobilityNetwork, PrivatizationReport]:
     """Privatize the trips of a corpus inside ``window`` at ``epsilon`` and
     aggregate them.  A bad ``epsilon`` is rejected before any matching."""
     validate_epsilon(epsilon)
-    plan = plan_endpoints(gps_corpus, net, cfg, match_cfg, utc_offset_hours, window, matched)
+    plan = plan_endpoints(gps_corpus, net, cfg, match_cfg, utc_offset_hours, window)
     out, report = privatize_trajectories(plan, net, epsilon)
     agg = aggregate(list(out.values()), window=window, source=SOURCE_DP_ANI)
     return agg, report

@@ -79,6 +79,7 @@ class TestPrivatizeCommand:
             "--epsilon", "0.1", "--days", "Sa", "--out", str(tmp_path / "x"),
         ])
         assert code == 3
+        assert not (tmp_path / "x").exists()
 
     def test_missing_epsilon_usage_error(self, inputs, tmp_path):
         _, net, trips, _ = inputs
@@ -170,6 +171,32 @@ class TestCompareCommand:
             outs.append(out)
         assert (outs[0] / "compare.csv").read_bytes() == (outs[1] / "compare.csv").read_bytes()
         assert (outs[0] / "manifest.json").read_bytes() == (outs[1] / "manifest.json").read_bytes()
+
+
+class TestEmptyWindow:
+    """``--days Sa`` selects no trip of the Tuesday/Wednesday corpus; bad
+    input is still reported as bad input, not as an empty release."""
+
+    def run(self, inputs, out, command, *options):
+        _, net, trips, _ = inputs
+        return main([command, "--network", str(net), "--trips", str(trips),
+                     "--days", "Sa", *options, "--out", str(out)])
+
+    @pytest.mark.parametrize("command, options", [
+        ("privatize", ("--epsilon", "nan")),
+        ("privatize", ("--epsilon", "0")),
+        ("compare", ("--epsilons", "0")),
+        ("compare", ("--models", "raw,bogus")),
+    ])
+    def test_bad_input_exit_2(self, inputs, tmp_path, command, options):
+        out = tmp_path / "x"
+        assert self.run(inputs, out, command, *options) == 2
+        assert not out.exists()
+
+    def test_valid_compare_exit_3(self, inputs, tmp_path):
+        out = tmp_path / "x"
+        assert self.run(inputs, out, "compare") == 3
+        assert not out.exists()
 
 
 class TestAggregateAndMetrics:

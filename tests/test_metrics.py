@@ -21,8 +21,11 @@ from dpmobility.privatize import (
     PrivacyConfig,
     detect_repeated_od,
     match_corpus,
+    od_remove,
+    od_successive_remove,
     plan_endpoints,
     privatize_trajectories,
+    trip_remove,
 )
 from dpmobility.trajectories import window_filter
 from dpmobility.synth import SynthTripConfig, generate_trips
@@ -208,9 +211,7 @@ class TestUnchangedSingleCountOd:
         # Each of these draws releases a one-link trip on a single-count link
         # in place: two counted decisions, one unchanged link.
         for epsilon, seed in ((2.0, 6), (2.0, 0), (15.0, 0)):
-            plan = plan_endpoints(corpus, city20,
-                                  PrivacyConfig(global_seed=seed),
-                                  matched=matched)
+            plan = plan_endpoints(corpus, city20, PrivacyConfig(global_seed=seed))
             out, report = privatize_trajectories(plan, city20, epsilon)
             priv_agg = aggregate(list(out.values()), source="dp-ani")
             unchanged, ratio = unchanged_single_count_od(raw_agg, ods, priv_agg, out)
@@ -310,7 +311,7 @@ class TestCompare:
             return result
 
         def fresh_plan(plan, net, epsilon):
-            result = real_privatize(plan_endpoints(corpus, net, cfg, matched=matched), net, epsilon)
+            result = real_privatize(plan_endpoints(corpus, net, cfg), net, epsilon)
             references.append(result)
             return result
 
@@ -334,6 +335,38 @@ class TestCompare:
             for link in (t.links[0], t.links[-1])
         )
         assert len(radius_calls) == fired
+
+    def test_trips_excluded_is_corpus_minus_released(self, small_setup, monkeypatch):
+        net, corpus = small_setup
+        window = Window((13, 14), frozenset({"T"}))
+        # A 100 m cap also excludes sparse-network trips in the plan.
+        cfg = PrivacyConfig(global_seed=4, max_buffer_m=100.0)
+        real_privatize = metrics_module.privatize_trajectories
+        reports = []
+
+        def recording(*args, **kwargs):
+            out, report = real_privatize(*args, **kwargs)
+            reports.append(report)
+            return out, report
+
+        monkeypatch.setattr(metrics_module, "privatize_trajectories", recording)
+        rows = compare(corpus, net, cfg, epsilons=(0.05, 1.0, 15.0), window=window)
+
+        dp_rows = [row for row in rows if row["model"] == "dp-ani"]
+        assert [row["trips_excluded"] for row in dp_rows] == [r.trips_excluded for r in reports]
+        assert all(r.excluded.get("out_of_window") for r in reports)
+        assert any(r.excluded.get("sparse_network") for r in reports)
+
+        matched, _ = match_corpus(corpus, net)
+        raw = [t for g, t in zip(corpus, matched) if t is not None and window.contains(g)]
+        released = {"raw": len(raw)}
+        for model, remove in (("trip-remove", trip_remove), ("od-remove", od_remove),
+                              ("od-successive", od_successive_remove)):
+            released[model] = sum(t is not None for t in remove(raw))
+        other_rows = [row for row in rows if row["model"] != "dp-ani"]
+        assert [row["model"] for row in other_rows] == list(released)
+        for row in other_rows:
+            assert row["trips_excluded"] == len(corpus) - released[row["model"]]
 
     def test_models_without_noise_size_no_buffers(self, small_setup, monkeypatch):
         net, corpus = small_setup

@@ -47,10 +47,6 @@ def brute_force_nearest_node(net: RoadNetwork, p: GeoPoint, within: float) -> st
     return best[1] if best[0] <= within else None
 
 
-def brute_force_nearest_link(net: RoadNetwork, p: GeoPoint) -> str:
-    return min(net.links, key=lambda lid: (net.distance_to_link(p, lid), lid))
-
-
 class TestValidation:
     def test_unknown_endpoint(self):
         p = GeoPoint(0, 0)
@@ -116,19 +112,12 @@ class TestLinksWithin:
 
 
 class TestNearestLink:
-    def test_point_on_link(self):
-        net = grid3x3()
-        mid = offset_point(BASE, 50.0, 0.0)  # on n000_000>n000_001
-        lid = net.nearest_link(mid)
-        assert net.distance_to_link(mid, lid) == pytest.approx(0.0, abs=1e-6)
-
     def test_tie_breaks_by_link_id(self):
         # Two links sharing one geometry produce bit-identical distances,
         # so the id decides.
         nodes = {"a": (0, 0), "b": (100, 0)}
         net = make_network(nodes, [("m2", "a", "b"), ("m1", "a", "b")])
         p = offset_point(BASE, 50.0, 30.0)
-        assert net.nearest_link(p) == "m1"
         assert net.nearest_link(p, {"m2", "m1"}) == "m1"
 
     def test_candidate_restriction(self):
@@ -140,15 +129,6 @@ class TestNearestLink:
     def test_empty_candidates(self):
         with pytest.raises(NoCandidateError):
             grid3x3().nearest_link(BASE, set())
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(9)
-        net = random_network(rng, 12, GeoPoint(37.8, 11.0))
-        for _ in range(100):
-            p = offset_point(GeoPoint(37.8, 11.0),
-                             float(rng.uniform(-500, 2500)), float(rng.uniform(-500, 2500)))
-            expected = min(net.links, key=lambda lid: (net.distance_to_link(p, lid), lid))
-            assert net.nearest_link(p) == expected
 
 
 class TestNearestNode:
@@ -214,7 +194,7 @@ class TestNearestNode:
 
 
 class TestRadiusQueriesAtHighLatitude:
-    """links_within, RadiusScan and nearest_link against brute force where
+    """links_within and RadiusScan against brute force where
     the index frame's scale and the query frame's differ most."""
 
     @pytest.mark.parametrize("lat", [75.0, -75.0])
@@ -227,7 +207,6 @@ class TestRadiusQueriesAtHighLatitude:
                                   float(rng.uniform(-1000, 7000)))
             radius = float(rng.uniform(0, DEFAULT_MAX_BUFFER_M))
             assert net.links_within(center, radius) == brute_force_within(net, center, radius)
-            assert net.nearest_link(center) == brute_force_nearest_link(net, center)
             scan = RadiusScan(net, center)
             for r in sorted(rng.uniform(0, DEFAULT_MAX_BUFFER_M, 6)):
                 assert scan.within(float(r)) == brute_force_within(net, center, float(r))
@@ -272,7 +251,6 @@ class TestRadiusQueriesAtHighLatitude:
         radius = DEFAULT_MAX_BUFFER_M
         assert net._cells_in_range(center, radius) == (net._cells_min, net._cells_max)
         assert net.links_within(center, radius) == brute_force_within(net, center, radius)
-        assert net.nearest_link(center) == brute_force_nearest_link(net, center)
         assert RadiusScan(net, center).within(radius) == brute_force_within(net, center, radius)
 
 

@@ -36,9 +36,9 @@ def lt(links, device="d", day="2026-01-06", hour=13):
                           links=tuple(links))
 
 
-def draw(corpus, net, cfg, epsilon, matched=None):
+def draw(corpus, net, cfg, epsilon):
     """One release of ``corpus`` at ``epsilon``, from a fresh plan."""
-    plan = plan_endpoints(corpus, net, cfg, matched=matched)
+    plan = plan_endpoints(corpus, net, cfg)
     return privatize_trajectories(plan, net, epsilon)
 
 
@@ -147,7 +147,7 @@ class TestPrivatizePipeline:
         matched, _ = match_corpus(corpus, city20)
         counts = compute_link_counts(t for t in matched if t is not None)
         repeated = detect_repeated_od(matched)
-        _, report = draw(corpus, city20, PrivacyConfig(global_seed=5), 1.0, matched)
+        _, report = draw(corpus, city20, PrivacyConfig(global_seed=5), 1.0)
         for dec in report.decisions:
             trip = matched[dec.trip]
             should_fire = counts[dec.original_link] == 1 or dec.trip in repeated
@@ -194,11 +194,8 @@ class TestPrivatizePipeline:
             for day in DAYS
         ]
         matched, _ = match_corpus(trips, city20)
-        out, report = draw(
-            trips, city20,
-            PrivacyConfig(global_seed=1, perturb_repeated=False), 0.5,
-            matched,
-        )
+        cfg = PrivacyConfig(global_seed=1, perturb_repeated=False)
+        out, report = draw(trips, city20, cfg, 0.5)
         assert report.endpoints_perturbed == 0
         assert all(out[i].links == matched[i].links for i in out)
 
@@ -215,7 +212,7 @@ class TestPrivatizePipeline:
         corpus, _ = generate_trips(city20, cfg_trips)
         matched, _ = match_corpus(corpus, city20)
         counts = compute_link_counts(t for t in matched if t is not None)
-        out, report = draw(corpus, city20, PrivacyConfig(global_seed=2), 5.0, matched)
+        out, report = draw(corpus, city20, PrivacyConfig(global_seed=2), 5.0)
         new_counts = compute_link_counts(out.values())
         survivors = 0
         for dec in report.decisions:
@@ -260,6 +257,7 @@ class TestPlannedNoise:
         assert len(plan.fired) >= 20
         for (_, end), fired in plan.fired.items():
             assert isinstance(fired.buffer, BufferResult)
+            assert isinstance(fired.theta, float) and isinstance(fired.unit_radius, float)
             for epsilon in DEFAULT_EPSILONS:
                 expected = perturb(
                     fired.point,
@@ -270,12 +268,31 @@ class TestPlannedNoise:
                 assert [x.hex() for x in got] == [x.hex() for x in expected]
 
     def test_sparse_ends_carry_no_noise(self, city20):
+        # A 60 m cap leaves every required end without a buffer, so each
+        # trip with such an end leaves the plan and no noise is drawn.
         cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=16)
         corpus, _ = generate_trips(city20, cfg_trips)
+        full = plan_endpoints(corpus, city20, PrivacyConfig())
         plan = plan_endpoints(corpus, city20, PrivacyConfig(max_buffer_m=60.0))
-        assert plan.fired
-        for fired in plan.fired.values():
-            assert fired.theta is None and fired.unit_radius is None
+        assert full.fired and plan.fired == {}
+        assert set(plan.trips) == set(full.trips) - {i for i, _ in full.fired}
+        assert plan.excluded == {"sparse_network": len(full.trips) - len(plan.trips)}
+
+    def test_sparse_trips_leave_the_plan(self, city20):
+        # At a 90 m cap some required ends get a buffer and some do not.
+        cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=16)
+        corpus, _ = generate_trips(city20, cfg_trips)
+        full = plan_endpoints(corpus, city20, PrivacyConfig())
+        plan = plan_endpoints(corpus, city20, PrivacyConfig(max_buffer_m=90.0))
+        sparse = plan.excluded["sparse_network"]
+        assert sparse and plan.fired
+        assert set(plan.trips) < set(full.trips)
+        assert len(full.trips) - len(plan.trips) == sparse
+        assert {i for i, _ in plan.fired} <= set(plan.trips)
+        assert plan.counts == full.counts and plan.repeated == full.repeated
+        for epsilon in (0.05, 1.0, 15.0):
+            _, report = privatize_trajectories(plan, city20, epsilon)
+            assert report.excluded["sparse_network"] == sparse
 
 
 def two_day_corpus(net):
@@ -296,8 +313,7 @@ class TestWindowBeforeCounting:
         counts = compute_link_counts(t for t in in_window if t is not None)
         repeated = detect_repeated_od(in_window)
         cfg = PrivacyConfig()
-        agg, report = privatize_aggregate(corpus, city20, cfg, 1.0, window=window,
-                                          matched=matched)
+        agg, report = privatize_aggregate(corpus, city20, cfg, 1.0, window=window)
 
         required = {
             (i, end)
@@ -318,8 +334,7 @@ class TestWindowBeforeCounting:
         # Filtering the corpus to the window first releases the same result.
         kept = [i for i, t in enumerate(in_window) if t is not None]
         agg_kept, report_kept = privatize_aggregate(
-            [corpus[i] for i in kept], city20, cfg, 1.0, window=window,
-            matched=[matched[i] for i in kept],
+            [corpus[i] for i in kept], city20, cfg, 1.0, window=window
         )
         assert agg_kept.counts == agg.counts
         assert [replace(d, trip=kept[d.trip]) for d in report_kept.decisions] == report.decisions
@@ -343,7 +358,7 @@ class TestWindowBeforeMatching:
                                         GpsSample("stray", t0 + 30.0, far)))
         inside = trip_along_route(city20, "n011_011", "n011_014", "2026-01-06")
         tuesdays = Window((13, 14), frozenset({"T"}))
-        cfg = PrivacyConfig(max_buffer_m=60.0)
+        cfg = PrivacyConfig()
         assert plan_endpoints([stray, inside], city20, cfg).excluded == {"unmatchable": 1}
         plan = plan_endpoints([stray, inside], city20, cfg, window=tuesdays)
         assert plan.excluded == {"out_of_window": 1}
