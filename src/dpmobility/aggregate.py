@@ -25,10 +25,6 @@ class AggregatedMobilityNetwork:
             if c < 1:
                 raise ValueError(f"count for link {lid!r} must be >= 1, got {c}")
 
-    @property
-    def total_visits(self) -> int:
-        return sum(self.counts.values())
-
 
 def compute_link_counts(corpus: Iterable[LinkTrajectory]) -> dict[LinkId, int]:
     """Per-occurrence link tally: every traversal counts, including repeats

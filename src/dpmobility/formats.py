@@ -11,8 +11,9 @@ import csv
 import hashlib
 import json
 from datetime import date, datetime, timezone
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .aggregate import AggregatedMobilityNetwork
 from .errors import InputFormatError
@@ -57,31 +58,46 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
             writer.writerow([_fmt(v) for v in row])
 
 
-def _read_csv(path: str | Path, required: Sequence[str]):
-    """Yield (line_number, row dict); '#' preamble lines are returned first
-    as a dict under the key None."""
+def _read_csv(path: str | Path, required: Sequence[str], parse: Callable[[dict], Any]
+              ) -> tuple[list[str], list]:
+    """The text of the leading '#' lines, and ``parse(row)`` for each
+    non-blank row as a dict keyed by the header.  A missing column, a row
+    shorter than the header, or a ``ValueError`` from ``parse`` raises
+    :class:`InputFormatError` with the file line."""
     preamble: list[str] = []
     with open(path, encoding="utf-8", newline="") as f:
-        pos = f.tell()
         line = f.readline()
-        lineno = 0
         while line.startswith("#"):
             preamble.append(line[1:].strip())
-            pos = f.tell()
-            lineno += 1
             line = f.readline()
-        f.seek(pos)
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
-            raise InputFormatError(str(path), lineno + 1, "missing header row")
-        missing = set(required) - set(reader.fieldnames)
-        if missing:
-            raise InputFormatError(
-                str(path), lineno + 1, f"missing columns: {sorted(missing)}"
-            )
-        yield preamble
-        for row in reader:
-            yield lineno + reader.line_num, row
+        reader = csv.reader(chain([line], f))
+        rows = []
+        try:
+            header = next(reader)
+            missing = set(required) - set(header)
+            if missing:
+                raise ValueError(f"missing columns: {sorted(missing)}")
+            for fields in filter(None, reader):
+                if len(fields) < len(header):
+                    raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
+                rows.append(parse(dict(zip(header, fields))))
+        except ValueError as e:
+            raise InputFormatError(str(path), len(preamble) + reader.line_num, str(e)) from e
+    return preamble, rows
+
+
+def _preamble(path: str | Path, lines: Sequence[str], convert: Callable[[str], Any] = str
+              ) -> dict:
+    """``key=value`` preamble lines (line i of the file is ``lines[i - 1]``)
+    as a dict, each value passed through ``convert``."""
+    fields = {}
+    for lineno, line in enumerate(lines, 1):
+        key, _, value = line.partition("=")
+        try:
+            fields[key] = convert(value)
+        except ValueError as e:
+            raise InputFormatError(str(path), lineno, str(e)) from e
+    return fields
 
 
 # -- timestamps ----------------------------------------------------------
@@ -94,29 +110,44 @@ def format_timestamp(t: float) -> str:
 
 
 def parse_timestamp(text: str) -> float:
-    return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
+    """Epoch seconds from ISO 8601 text; without ``Z`` or ``±hh:mm`` the
+    instant would depend on the reader's time zone, so that is a ValueError."""
+    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if dt.tzinfo is None:
+        raise ValueError(f"timestamp {text!r} has no UTC offset")
+    return dt.timestamp()
 
 
 # -- road networks ---------------------------------------------------------
 
 
-def _link_from_properties(props: dict, geometry: tuple[GeoPoint, ...], where: str) -> Link:
-    try:
-        length = props.get("length_m")
-        if length in (None, ""):
-            length = sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
-        return Link(
-            id=str(props["id"]),
-            from_node=str(props["from"]),
-            to_node=str(props["to"]),
-            geometry=geometry,
-            length_m=float(length),
-            functional_class=int(props["fc"]),
-            speed_mps=float(props["speed_mps"]),
-            lanes=int(props.get("lanes") or 1),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputFormatError(where, None, f"bad link properties: {e}") from e
+def _link_from_properties(props: dict, geometry: tuple[GeoPoint, ...]) -> Link:
+    length = props.get("length_m")
+    if length in (None, ""):
+        length = sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
+    return Link(
+        id=str(props["id"]),
+        from_node=str(props["from"]),
+        to_node=str(props["to"]),
+        geometry=geometry,
+        length_m=float(length),
+        functional_class=int(props["fc"]),
+        speed_mps=float(props["speed_mps"]),
+        lanes=int(props.get("lanes") or 1),
+    )
+
+
+def _network(path: str | Path, links: Sequence[Link]) -> RoadNetwork:
+    """Network of ``links``; each node sits at the first link end naming it."""
+    nodes: dict[NodeId, GeoPoint] = {}
+    by_id: dict[LinkId, Link] = {}
+    for link in links:
+        if link.id in by_id:
+            raise InputFormatError(str(path), None, f"duplicate link id {link.id!r}")
+        by_id[link.id] = link
+        nodes.setdefault(link.from_node, link.geometry[0])
+        nodes.setdefault(link.to_node, link.geometry[-1])
+    return RoadNetwork(nodes, by_id)
 
 
 def load_network_geojson(path: str | Path) -> RoadNetwork:
@@ -131,24 +162,20 @@ def load_network_geojson(path: str | Path) -> RoadNetwork:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise InputFormatError(str(path), e.lineno, e.msg) from e
-    if doc.get("type") != "FeatureCollection":
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise InputFormatError(str(path), None, "expected a FeatureCollection")
-    nodes: dict[NodeId, GeoPoint] = {}
-    links: dict[LinkId, Link] = {}
+    links = []
     for i, feature in enumerate(doc.get("features", [])):
-        where = f"{path} (feature {i})"
-        geom = feature.get("geometry") or {}
-        if geom.get("type") != "LineString":
-            raise InputFormatError(where, None, "expected LineString geometry")
-        coords = geom.get("coordinates") or []
-        if len(coords) < 2:
-            raise InputFormatError(where, None, "LineString needs at least 2 positions")
-        pts = tuple(GeoPoint(float(lat), float(lon)) for lon, lat in coords)
-        link = _link_from_properties(feature.get("properties") or {}, pts, where)
-        links[link.id] = link
-        nodes.setdefault(link.from_node, pts[0])
-        nodes.setdefault(link.to_node, pts[-1])
-    return RoadNetwork(nodes, links)
+        try:
+            geom = feature.get("geometry") or {}
+            coords = geom.get("coordinates") or []
+            if geom.get("type") != "LineString" or len(coords) < 2:
+                raise ValueError("expected a LineString of at least 2 positions")
+            pts = tuple(GeoPoint(float(lat), float(lon)) for lon, lat in coords)
+            links.append(_link_from_properties(feature.get("properties") or {}, pts))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise InputFormatError(f"{path} (feature {i})", None, f"bad feature: {e}") from e
+    return _network(path, links)
 
 
 def save_network_geojson(net: RoadNetwork, path: str | Path) -> None:
@@ -176,35 +203,16 @@ def save_network_geojson(net: RoadNetwork, path: str | Path) -> None:
     _dump_json({"type": "FeatureCollection", "features": features}, path)
 
 
+def _csv_link(row: dict) -> Link:
+    a = GeoPoint(float(row["from_lat"]), float(row["from_lon"]))
+    b = GeoPoint(float(row["to_lat"]), float(row["to_lon"]))
+    return _link_from_properties({**row, "from": row["from_node"], "to": row["to_node"]}, (a, b))
+
+
 def load_network_csv(path: str | Path) -> RoadNetwork:
     """Network from a straight-line edge list (see NETWORK_CSV_COLUMNS)."""
-    nodes: dict[NodeId, GeoPoint] = {}
-    links: dict[LinkId, Link] = {}
-    rows = _read_csv(path, [c for c in NETWORK_CSV_COLUMNS if c != "length_m"])
-    next(rows)  # preamble
-    for lineno, row in rows:
-        try:
-            a = GeoPoint(float(row["from_lat"]), float(row["from_lon"]))
-            b = GeoPoint(float(row["to_lat"]), float(row["to_lon"]))
-            link = _link_from_properties(
-                {
-                    "id": row["id"],
-                    "from": row["from_node"],
-                    "to": row["to_node"],
-                    "fc": row["fc"],
-                    "speed_mps": row["speed_mps"],
-                    "lanes": row.get("lanes") or 1,
-                    "length_m": row.get("length_m") or None,
-                },
-                (a, b),
-                f"{path}:{lineno}",
-            )
-        except ValueError as e:
-            raise InputFormatError(str(path), lineno, str(e)) from e
-        links[link.id] = link
-        nodes.setdefault(link.from_node, a)
-        nodes.setdefault(link.to_node, b)
-    return RoadNetwork(nodes, links)
+    required = [c for c in NETWORK_CSV_COLUMNS if c != "length_m"]
+    return _network(path, _read_csv(path, required, _csv_link)[1])
 
 
 def save_network_csv(net: RoadNetwork, path: str | Path) -> None:
@@ -243,6 +251,16 @@ def save_trips_csv(corpus: Sequence[GpsTrajectory], path: str | Path) -> None:
     _write_csv(path, TRIP_COLUMNS, rows)
 
 
+def _sample(row: dict) -> GpsSample:
+    return GpsSample(
+        device=row["device_id"],
+        t=parse_timestamp(row["timestamp"]),
+        point=GeoPoint(float(row["lat"]), float(row["lon"])),
+        speed_mps=float(row["speed_mps"]) if row.get("speed_mps") else None,
+        heading_deg=float(row["heading_deg"]) if row.get("heading_deg") else None,
+    )
+
+
 def load_trips_csv(path: str | Path, gap_s: float = 300.0) -> list[GpsTrajectory]:
     """Read samples, group per device, sort by time, split into trips.
 
@@ -251,19 +269,7 @@ def load_trips_csv(path: str | Path, gap_s: float = 300.0) -> list[GpsTrajectory
     """
     validate_trip_gap(gap_s)
     per_device: dict[str, list[GpsSample]] = {}
-    rows = _read_csv(path, ("device_id", "timestamp", "lat", "lon"))
-    next(rows)
-    for lineno, row in rows:
-        try:
-            sample = GpsSample(
-                device=row["device_id"],
-                t=parse_timestamp(row["timestamp"]),
-                point=GeoPoint(float(row["lat"]), float(row["lon"])),
-                speed_mps=float(row["speed_mps"]) if row.get("speed_mps") else None,
-                heading_deg=float(row["heading_deg"]) if row.get("heading_deg") else None,
-            )
-        except ValueError as e:
-            raise InputFormatError(str(path), lineno, str(e)) from e
+    for sample in _read_csv(path, ("device_id", "timestamp", "lat", "lon"), _sample)[1]:
         per_device.setdefault(sample.device, []).append(sample)
     corpus: list[GpsTrajectory] = []
     for device in sorted(per_device):
@@ -288,19 +294,10 @@ def save_aggregation_csv(agg: AggregatedMobilityNetwork, net: RoadNetwork,
 
 
 def load_aggregation_csv(path: str | Path) -> tuple[dict[LinkId, int], str]:
-    rows = _read_csv(path, AGGREGATION_COLUMNS)
-    preamble = next(rows)
-    source = "raw"
-    for line in preamble:
-        if line.startswith("source="):
-            source = line.split("=", 1)[1]
-    counts: dict[LinkId, int] = {}
-    for lineno, row in rows:
-        try:
-            counts[row["link_id"]] = int(row["count"])
-        except ValueError as e:
-            raise InputFormatError(str(path), lineno, str(e)) from e
-    return counts, source
+    preamble, rows = _read_csv(
+        path, AGGREGATION_COLUMNS, lambda row: (row["link_id"], int(row["count"]))
+    )
+    return dict(rows), _preamble(path, preamble).get("source", "raw")
 
 
 def save_overlay_geojson(agg: AggregatedMobilityNetwork, net: RoadNetwork,
@@ -356,37 +353,27 @@ def save_report_csv(report: PrivatizationReport, path: str | Path) -> None:
     _write_csv(path, REPORT_COLUMNS, rows, preamble)
 
 
+def _decision(row: dict) -> EndpointDecision:
+    return EndpointDecision(
+        trip=int(row["trip"]),
+        end=row["end"],
+        original_link=row["original_link"],
+        perturbed=row["perturbed"] == "true",
+        matched_link=row["matched_link"] or None,
+        new_link=row["new_link"],
+        radius_m=float(row["radius_m"]) if row["radius_m"] else None,
+    )
+
+
 def load_report_csv(path: str | Path) -> PrivatizationReport:
-    rows = _read_csv(path, REPORT_COLUMNS)
-    preamble = next(rows)
-    meta: dict[str, int] = {}
-    excluded: dict[str, int] = {}
-    for line in preamble:
-        key, _, value = line.partition("=")
-        if key.startswith("excluded."):
-            excluded[key[len("excluded."):]] = int(value)
-        else:
-            meta[key] = int(value)
-    decisions = []
-    for lineno, row in rows:
-        try:
-            decisions.append(
-                EndpointDecision(
-                    trip=int(row["trip"]),
-                    end=row["end"],
-                    original_link=row["original_link"],
-                    perturbed=row["perturbed"] == "true",
-                    matched_link=row["matched_link"] or None,
-                    new_link=row["new_link"],
-                    radius_m=float(row["radius_m"]) if row["radius_m"] else None,
-                )
-            )
-        except ValueError as e:
-            raise InputFormatError(str(path), lineno, str(e)) from e
+    preamble, decisions = _read_csv(path, REPORT_COLUMNS, _decision)
+    meta = _preamble(path, preamble, int)
     return PrivatizationReport(
         trips_in=meta.get("trips_in", 0),
         trips_out=meta.get("trips_out", 0),
-        excluded=excluded,
+        excluded={
+            key[len("excluded."):]: n for key, n in meta.items() if key.startswith("excluded.")
+        },
         endpoints_perturbed=meta.get("endpoints_perturbed", 0),
         endpoints_unchanged_single_count=meta.get("endpoints_unchanged_single_count", 0),
         decisions=decisions,
@@ -406,23 +393,17 @@ def save_link_corpus_csv(corpus: Sequence[LinkTrajectory], path: str | Path) -> 
     _write_csv(path, TRUTH_COLUMNS, rows)
 
 
+def _link_trajectory(row: dict) -> LinkTrajectory:
+    return LinkTrajectory(
+        device=row["device"],
+        day=date.fromisoformat(row["day"]),
+        hour=int(row["hour"]),
+        links=tuple(row["links"].split("|")),
+    )
+
+
 def load_link_corpus_csv(path: str | Path) -> list[LinkTrajectory]:
-    rows = _read_csv(path, TRUTH_COLUMNS)
-    next(rows)
-    out = []
-    for lineno, row in rows:
-        try:
-            out.append(
-                LinkTrajectory(
-                    device=row["device"],
-                    day=date.fromisoformat(row["day"]),
-                    hour=int(row["hour"]),
-                    links=tuple(row["links"].split("|")),
-                )
-            )
-        except ValueError as e:
-            raise InputFormatError(str(path), lineno, str(e)) from e
-    return out
+    return _read_csv(path, TRUTH_COLUMNS, _link_trajectory)[1]
 
 
 # -- compare tables ----------------------------------------------------------
@@ -433,9 +414,7 @@ def save_compare_csv(rows: Sequence[dict], columns: Sequence[str], path: str | P
 
 
 def load_compare_csv(path: str | Path) -> list[dict[str, str]]:
-    rows = _read_csv(path, ("model",))
-    next(rows)
-    return [row for _, row in rows]
+    return _read_csv(path, ("model",), dict)[1]
 
 
 # -- manifests ----------------------------------------------------------------

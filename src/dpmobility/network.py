@@ -259,19 +259,17 @@ class RoadNetwork:
             raise NoCandidateError("empty candidate set")
         return min(candidates, key=lambda lid: (self.distance_to_link(p, lid), lid))
 
-    def nearest_node(self, p: GeoPoint, within: float | None = None) -> NodeId | None:
+    def nearest_node(self, p: GeoPoint, within: float) -> NodeId | None:
         """Closest node to ``p``; ``None`` if none lies within ``within`` meters."""
-        if within is not None:
-            (ix0, iy0), (ix1, iy1) = self._cells_in_range(p, within)
-            best: tuple[float, NodeId] | None = None
-            for ix in range(ix0, ix1 + 1):
-                for iy in range(iy0, iy1 + 1):
-                    for nid in self._node_grid.get((ix, iy), ()):
-                        d = haversine_distance(p, self.nodes[nid])
-                        if d <= within and (best is None or (d, nid) < best):
-                            best = (d, nid)
-            return best[1] if best else None
-        return min(self.nodes, key=lambda nid: (haversine_distance(p, self.nodes[nid]), nid))
+        (ix0, iy0), (ix1, iy1) = self._cells_in_range(p, within)
+        best: tuple[float, NodeId] | None = None
+        for ix in range(ix0, ix1 + 1):
+            for iy in range(iy0, iy1 + 1):
+                for nid in self._node_grid.get((ix, iy), ()):
+                    d = haversine_distance(p, self.nodes[nid])
+                    if d <= within and (best is None or (d, nid) < best):
+                        best = (d, nid)
+        return best[1] if best else None
 
     # -- routing ----------------------------------------------------------
 

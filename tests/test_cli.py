@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -87,15 +88,33 @@ class TestPrivatizeCommand:
                      "--out", str(tmp_path / "x")])
         assert r.returncode == 2
 
-    def test_malformed_trips_exit_2(self, inputs, tmp_path):
-        _, net, _, _ = inputs
-        bad = tmp_path / "bad.csv"
-        bad.write_text("device_id,timestamp,lat,lon\nd1,garbage,37.8,-122.3\n")
+    @pytest.mark.parametrize("kind, name, text, where", [
+        ("trips", "bad.csv", "device_id,timestamp,lat,lon\nd1,garbage,37.8,-122.3\n", ":2"),
+        ("trips", "bad.csv", "device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00Z,37.80\n",
+         ":2"),
+        ("trips", "bad.csv", "device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00,37.8,-122.3\n",
+         ":2"),
+        ("network", "bad.csv",
+         ",".join(formats.NETWORK_CSV_COLUMNS) + "\nL1,a,b,37.8,-122.3\n", ":2"),
+        ("network", "bad.geojson", json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [[-122.3, None], [-122.3, 37.8]]},
+            "properties": {"id": "L1", "from": "a", "to": "b", "fc": 3, "speed_mps": 10.0},
+        }]}), " (feature 0)"),
+    ], ids=["bad-timestamp", "short-trip-row", "naive-timestamp", "short-network-row",
+            "null-coordinate"])
+    def test_malformed_trips_exit_2(self, inputs, tmp_path, capsys, kind, name, text, where):
+        _, net, trips, _ = inputs
+        bad = tmp_path / name
+        bad.write_text(text)
+        files = {"network": net, "trips": trips, kind: bad}
         code = main([
-            "privatize", "--network", str(net), "--trips", str(bad),
+            "privatize", "--network", str(files["network"]), "--trips", str(files["trips"]),
             "--epsilon", "1", "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+        assert f"{bad}{where}: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
     @pytest.mark.parametrize("option", [

@@ -72,6 +72,36 @@ class TestNetworkFiles:
             formats.load_network_geojson(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("row", [
+        "L2,a,c,37.8,-122.3,37.801",
+        "L2,a,c,37.8,-122.3,37.801,-122.3,x,10.0,1,",
+    ], ids=["short-row", "bad-fc"])
+    def test_bad_csv_row_reports_line(self, tmp_path, row):
+        path = tmp_path / "net.csv"
+        path.write_text(
+            ",".join(formats.NETWORK_CSV_COLUMNS) + "\n"
+            "L1,a,b,37.8,-122.3,37.801,-122.3,3,10.0,1,\n" + row + "\n"
+        )
+        with pytest.raises(InputFormatError) as err:
+            formats.load_network_csv(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".geojson"])
+    def test_duplicate_link_id_rejected(self, setup, tmp_path, suffix):
+        net, _, _, _ = setup
+        path = tmp_path / f"dup{suffix}"
+        if suffix == ".csv":
+            formats.save_network_csv(net, path)
+            text = path.read_text()
+            path.write_text(text + text.splitlines()[1] + "\n")
+        else:
+            formats.save_network_geojson(net, path)
+            doc = json.loads(path.read_text())
+            doc["features"].append(doc["features"][0])
+            path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match="duplicate link id"):
+            formats.load_network(path)
+
     def test_missing_property_rejected(self, tmp_path):
         path = tmp_path / "noprops.geojson"
         doc = {
@@ -110,12 +140,16 @@ class TestTripFiles:
         for t in (1_767_000_000.0, 1_767_000_000.125):
             assert formats.parse_timestamp(formats.format_timestamp(t)) == t
 
-    def test_bad_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("row", [
+        "d1,not-a-time,37.8,-122.3",
+        "d1,2026-01-06T21:40:00Z,37.8",
+        "d1,2026-01-06T21:40:00,37.8,-122.3",
+    ], ids=["bad-timestamp", "short-row", "naive-timestamp"])
+    def test_bad_row_reports_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(
             "device_id,timestamp,lat,lon\n"
-            "d1,2026-01-06T21:30:00Z,37.8,-122.3\n"
-            "d1,not-a-time,37.8,-122.3\n"
+            "d1,2026-01-06T21:30:00Z,37.8,-122.3\n" + row + "\n"
         )
         with pytest.raises(InputFormatError) as err:
             formats.load_trips_csv(path)
@@ -160,6 +194,13 @@ class TestAggregationAndReportFiles:
         assert (loaded.endpoints_unchanged_single_count
                 == report.endpoints_unchanged_single_count)
         assert loaded.decisions == report.decisions
+
+    def test_bad_report_preamble_reports_line(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("# trips_in=3\n# trips_out=x\n" + ",".join(formats.REPORT_COLUMNS) + "\n")
+        with pytest.raises(InputFormatError) as err:
+            formats.load_report_csv(path)
+        assert err.value.line == 2
 
     def test_link_corpus_round_trip(self, setup):
         _, _, truth, tmp = setup

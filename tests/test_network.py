@@ -138,11 +138,6 @@ class TestNearestNode:
         assert net.nearest_node(p, within=20.0) == "n000_000"
         assert net.nearest_node(p, within=5.0) is None
 
-    def test_unbounded(self):
-        net = grid3x3()
-        p = offset_point(BASE, 220.0, 190.0)
-        assert net.nearest_node(p) == "n002_002"
-
     @pytest.mark.parametrize("lat", [0.0, 37.8, 60.0, 75.0, -60.0])
     def test_matches_brute_force(self, lat):
         rng = np.random.default_rng(int(abs(lat) * 10) + (lat < 0))
