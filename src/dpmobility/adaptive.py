@@ -10,6 +10,7 @@ compare those distances with the growing buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import SparseNetworkError
@@ -21,6 +22,19 @@ DEFAULT_H2 = 3
 DEFAULT_INITIAL_BUFFER_M = 20.0
 DEFAULT_BUFFER_STEP_M = 10.0
 DEFAULT_MAX_BUFFER_M = 5000.0
+
+
+def validate_buffer(
+    h1: int, h2: int, initial_buffer_m: float, buffer_step_m: float, max_buffer_m: float
+) -> None:
+    """Reject settings :func:`select_radius` cannot run with: ``h1 >= h2 >= 0``
+    and finite, positive buffer sizes (an infinite cap never stops growing)."""
+    if not (h1 >= h2 >= 0):
+        raise ValueError(f"thresholds must satisfy h1 >= h2 >= 0, got {h1}, {h2}")
+    for name, value in zip(("initial_buffer_m", "buffer_step_m", "max_buffer_m"),
+                           (initial_buffer_m, buffer_step_m, max_buffer_m)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be finite and positive: {value}")
 
 
 @dataclass(frozen=True)
@@ -49,12 +63,10 @@ def select_radius(
     links and strictly more than ``h2`` links of class ``fc``, together
     with the class-filtered link set at that Z and the radius Z/2.  Raises
     :class:`SparseNetworkError` if Z would exceed ``max_buffer_m`` first.
+    Settings that :func:`validate_buffer` rejects raise ValueError.
     Deterministic; no randomness involved.
     """
-    if h1 < h2 or h2 < 0:
-        raise ValueError(f"thresholds must satisfy h1 >= h2 >= 0, got {h1}, {h2}")
-    if initial_buffer_m <= 0.0 or step_m <= 0.0:
-        raise ValueError("buffer sizes must be positive")
+    validate_buffer(h1, h2, initial_buffer_m, step_m, max_buffer_m)
 
     scan = RadiusScan(net, point)
     z = initial_buffer_m

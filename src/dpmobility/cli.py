@@ -30,7 +30,7 @@ from .metrics import (
 from .noise import NoiseParams, verify_geo_indistinguishability
 from .privatize import PrivacyConfig, match_corpus, privatize_aggregate
 from .synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
-from .trajectories import Window, window_filter
+from .trajectories import DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H, Window, window_filter
 from . import formats
 
 EXIT_OK = 0
@@ -70,48 +70,53 @@ def _parse_dates(text: str) -> tuple[date, ...]:
         raise DpMobilityError(f"bad date list {text!r}; expected YYYY-MM-DD[,...]") from e
 
 
+# Option defaults are the library's own; a dataclass field's default is a class attribute.
 def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hour-window", default="13-14", help="half-open local hour range, e.g. 13-14")
     p.add_argument("--days", default="T,W,Th", help="weekday labels, e.g. T,W,Th")
-    p.add_argument("--utc-offset", type=float, default=-8.0,
+    p.add_argument("--utc-offset", type=float, default=DEFAULT_UTC_OFFSET_H,
                    help="hours added to UTC for local day/hour binning")
 
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--network", required=True, help="road network (.geojson or .csv)")
     p.add_argument("--trips", required=True, help="GPS sample CSV")
-    p.add_argument("--gap", type=float, default=300.0, help="trip split gap, seconds")
-    p.add_argument("--snap-radius", type=float, default=50.0, help="matcher snap radius, meters")
-    p.add_argument("--max-node-skip", type=int, default=3,
+    p.add_argument("--gap", type=float, default=DEFAULT_TRIP_GAP_S, help="trip split gap, seconds")
+    p.add_argument("--snap-radius", type=float, default=MatchConfig.snap_radius_m,
+                   help="matcher snap radius, meters")
+    p.add_argument("--max-node-skip", type=int, default=MatchConfig.max_node_skip,
                    help="tolerated consecutive unsnappable samples")
 
 
 def _add_privacy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--h1", type=int, default=8, help="buffer link-count threshold")
-    p.add_argument("--h2", type=int, default=3, help="buffer same-class link-count threshold")
-    p.add_argument("--initial-buffer", type=float, default=20.0, help="initial buffer, meters")
-    p.add_argument("--buffer-step", type=float, default=10.0, help="buffer growth step, meters")
-    p.add_argument("--max-buffer", type=float, default=5000.0, help="buffer cap, meters")
-    p.add_argument("--seed", type=int, default=0, help="global noise seed")
-    p.add_argument("--keep-repeated", action="store_true",
-                   help="do not force perturbation of repeated endpoint pairs")
+    p.add_argument("--h1", type=int, default=PrivacyConfig.h1, help="buffer link-count threshold")
+    p.add_argument("--h2", type=int, default=PrivacyConfig.h2,
+                   help="buffer same-class link-count threshold")
+    p.add_argument("--initial-buffer", type=float, default=PrivacyConfig.initial_buffer_m,
+                   help="initial buffer, meters")
+    p.add_argument("--buffer-step", type=float, default=PrivacyConfig.buffer_step_m,
+                   help="buffer growth step, meters")
+    p.add_argument("--max-buffer", type=float, default=PrivacyConfig.max_buffer_m,
+                   help="buffer cap, meters")
+    p.add_argument("--seed", type=int, default=PrivacyConfig.global_seed, help="global noise seed")
 
 
 def _load_windowed_corpus(args):
+    """(network, trips inside the window, window, matcher settings)."""
     window = Window(_parse_hour_window(args.hour_window), _parse_days(args.days))
+    match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
     net = formats.load_network(args.network)
     trips = formats.load_trips_csv(args.trips, gap_s=args.gap)
     corpus = window_filter(trips, window.hours, window.days, args.utc_offset)
-    return net, corpus, window
+    return net, corpus, window, match_cfg
 
 
 def _load_matched_corpus(args):
     """(network, matched trips, unmatchable count, window), or None if empty."""
-    net, corpus, window = _load_windowed_corpus(args)
+    net, corpus, window, match_cfg = _load_windowed_corpus(args)
     if not corpus:
         print("no trips in the requested window", file=sys.stderr)
         return None
-    match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
     matched, n_bad = match_corpus(corpus, net, match_cfg, args.utc_offset)
     trips = [t for t in matched if t is not None]
     if not trips:
@@ -122,13 +127,7 @@ def _load_matched_corpus(args):
 
 def _privacy_config(args) -> PrivacyConfig:
     return PrivacyConfig(
-        h1=args.h1,
-        h2=args.h2,
-        initial_buffer_m=args.initial_buffer,
-        buffer_step_m=args.buffer_step,
-        max_buffer_m=args.max_buffer,
-        global_seed=args.seed,
-        perturb_repeated=not args.keep_repeated,
+        args.h1, args.h2, args.initial_buffer, args.buffer_step, args.max_buffer, args.seed
     )
 
 
@@ -139,9 +138,23 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
 
 
+def _write_outputs(args, files: dict) -> Path:
+    """Call ``save(*data, out / name)`` for each ``name: (save, *data)`` of
+    ``files``, then write the manifest over them; returns ``out``, the
+    ``--out`` directory."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (save, *data) in files.items():
+        save(*data, out / name)
+    formats.write_manifest(
+        out / "manifest.json", args.command, _config_echo(args),
+        [args.network, args.trips], [out / name for name in files], __version__,
+    )
+    return out
+
+
 def cmd_privatize(args) -> int:
-    net, corpus, window = _load_windowed_corpus(args)
-    match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
+    net, corpus, window, match_cfg = _load_windowed_corpus(args)
     agg, report = privatize_aggregate(
         corpus, net, _privacy_config(args), args.epsilon, match_cfg, args.utc_offset,
         window=window,
@@ -149,18 +162,11 @@ def cmd_privatize(args) -> int:
     if not agg.counts:
         print("privatization left no trips in the window", file=sys.stderr)
         return EXIT_EMPTY_WINDOW
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    agg_path = out / "privatized_aggregation.csv"
-    overlay_path = out / "privatized_overlay.geojson"
-    report_path = out / "privatization_report.csv"
-    formats.save_aggregation_csv(agg, net, agg_path)
-    formats.save_overlay_geojson(agg, net, overlay_path)
-    formats.save_report_csv(report, report_path)
-    formats.write_manifest(
-        out / "manifest.json", "privatize", _config_echo(args),
-        [args.network, args.trips], [agg_path, overlay_path, report_path], __version__,
-    )
+    out = _write_outputs(args, {
+        "privatized_aggregation.csv": (formats.save_aggregation_csv, agg, net),
+        "privatized_overlay.geojson": (formats.save_overlay_geojson, agg, net),
+        "privatization_report.csv": (formats.save_report_csv, report),
+    })
     print(
         f"privatized {report.trips_out}/{report.trips_in} trips "
         f"({report.endpoints_perturbed} endpoints perturbed, "
@@ -170,9 +176,8 @@ def cmd_privatize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    net, corpus, window = _load_windowed_corpus(args)
+    net, corpus, window, match_cfg = _load_windowed_corpus(args)
     models = tuple(part.strip() for part in args.models.split(",") if part.strip())
-    match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
     rows = compare(
         corpus, net, _privacy_config(args),
         epsilons=_parse_floats(args.epsilons),
@@ -184,15 +189,8 @@ def cmd_compare(args) -> int:
     if not corpus:
         print("no trips in the requested window", file=sys.stderr)
         return EXIT_EMPTY_WINDOW
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = out / "compare.csv"
-    formats.save_compare_csv(rows, COMPARE_COLUMNS, table_path)
-    formats.write_manifest(
-        out / "manifest.json", "compare", _config_echo(args),
-        [args.network, args.trips], [table_path], __version__,
-    )
-    print(f"wrote {len(rows)} rows -> {table_path}")
+    out = _write_outputs(args, {"compare.csv": (formats.save_compare_csv, rows, COMPARE_COLUMNS)})
+    print(f"wrote {len(rows)} rows -> {out / 'compare.csv'}")
     return EXIT_OK
 
 
@@ -202,16 +200,10 @@ def cmd_aggregate(args) -> int:
         return EXIT_EMPTY_WINDOW
     net, trips, _, window = loaded
     agg = aggregate(trips, window=window)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    agg_path = out / "aggregation.csv"
-    overlay_path = out / "overlay.geojson"
-    formats.save_aggregation_csv(agg, net, agg_path)
-    formats.save_overlay_geojson(agg, net, overlay_path)
-    formats.write_manifest(
-        out / "manifest.json", "aggregate", _config_echo(args),
-        [args.network, args.trips], [agg_path, overlay_path], __version__,
-    )
+    out = _write_outputs(args, {
+        "aggregation.csv": (formats.save_aggregation_csv, agg, net),
+        "overlay.geojson": (formats.save_overlay_geojson, agg, net),
+    })
     print(f"aggregated {len(trips)} trips over {len(agg.counts)} links -> {out}")
     return EXIT_OK
 
@@ -336,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = synth_sub.add_parser("network", help="generate a grid city network")
     q.add_argument("--rows", type=int, default=20)
     q.add_argument("--cols", type=int, default=20)
-    q.add_argument("--spacing", type=float, default=100.0, help="node spacing, meters")
-    q.add_argument("--arterial-every", type=int, default=5)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--spacing", type=float, default=SynthCityConfig.spacing_m,
+                   help="node spacing, meters")
+    q.add_argument("--arterial-every", type=int, default=SynthCityConfig.arterial_every)
+    q.add_argument("--seed", type=int, default=SynthCityConfig.seed)
     q.add_argument("--out", required=True, help=".geojson or .csv path")
     q.set_defaults(func=cmd_synth_network)
 
@@ -347,13 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n-trips", type=int, default=600, help="trips per day")
     q.add_argument("--n-devices", type=int, default=400)
     q.add_argument("--dates", required=True, help="comma-separated YYYY-MM-DD dates")
-    q.add_argument("--hour-window", default="13-14")
-    q.add_argument("--od-alpha", type=float, default=1.0, help="endpoint popularity exponent")
-    q.add_argument("--interval", type=float, default=30.0, help="GPS sampling interval, seconds")
-    q.add_argument("--jitter", type=float, default=5.0, help="GPS noise sigma, meters")
-    q.add_argument("--repeat-fraction", type=float, default=0.0)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--utc-offset", type=float, default=-8.0)
+    q.add_argument("--hour-window", default="{}-{}".format(*SynthTripConfig.hour_window))
+    q.add_argument("--od-alpha", type=float, default=SynthTripConfig.od_popularity_alpha,
+                   help="endpoint popularity exponent")
+    q.add_argument("--interval", type=float, default=SynthTripConfig.gps_interval_s,
+                   help="GPS sampling interval, seconds")
+    q.add_argument("--jitter", type=float, default=SynthTripConfig.jitter_sigma_m,
+                   help="GPS noise sigma, meters")
+    q.add_argument("--repeat-fraction", type=float, default=SynthTripConfig.repeat_fraction)
+    q.add_argument("--seed", type=int, default=SynthTripConfig.seed)
+    q.add_argument("--utc-offset", type=float, default=SynthTripConfig.utc_offset_hours)
     q.add_argument("--out", required=True, help="trips CSV path")
     q.add_argument("--truth", default=None, help="optional ground-truth link CSV path")
     q.set_defaults(func=cmd_synth_trips)

@@ -21,6 +21,7 @@ from .geometry import GeoPoint, haversine_distance
 from .network import Link, LinkId, NodeId, RoadNetwork
 from .privatize import EndpointDecision, PrivatizationReport
 from .trajectories import (
+    DEFAULT_TRIP_GAP_S,
     GpsSample,
     GpsTrajectory,
     LinkTrajectory,
@@ -62,8 +63,8 @@ def _read_csv(path: str | Path, required: Sequence[str], parse: Callable[[dict],
               ) -> tuple[list[str], list]:
     """The text of the leading '#' lines, and ``parse(row)`` for each
     non-blank row as a dict keyed by the header.  A missing column, a row
-    shorter than the header, or a ``ValueError`` from ``parse`` raises
-    :class:`InputFormatError` with the file line."""
+    shorter or longer than the header, or a ``ValueError`` from ``parse``
+    raises :class:`InputFormatError` with the file line."""
     preamble: list[str] = []
     with open(path, encoding="utf-8", newline="") as f:
         line = f.readline()
@@ -78,7 +79,7 @@ def _read_csv(path: str | Path, required: Sequence[str], parse: Callable[[dict],
             if missing:
                 raise ValueError(f"missing columns: {sorted(missing)}")
             for fields in filter(None, reader):
-                if len(fields) < len(header):
+                if len(fields) != len(header):
                     raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
                 rows.append(parse(dict(zip(header, fields))))
         except ValueError as e:
@@ -121,19 +122,29 @@ def parse_timestamp(text: str) -> float:
 # -- road networks ---------------------------------------------------------
 
 
+def _whole(value) -> int:
+    """``value`` as an int; a fractional float is a ValueError, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _link_from_properties(props: dict, geometry: tuple[GeoPoint, ...]) -> Link:
     length = props.get("length_m")
     if length in (None, ""):
         length = sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
+    lanes = 1 if props.get("lanes") in (None, "") else _whole(props["lanes"])
+    if lanes < 1:
+        raise ValueError(f"lanes must be >= 1, got {lanes}")
     return Link(
         id=str(props["id"]),
         from_node=str(props["from"]),
         to_node=str(props["to"]),
         geometry=geometry,
         length_m=float(length),
-        functional_class=int(props["fc"]),
+        functional_class=_whole(props["fc"]),
         speed_mps=float(props["speed_mps"]),
-        lanes=int(props.get("lanes") or 1),
+        lanes=lanes,
     )
 
 
@@ -261,7 +272,7 @@ def _sample(row: dict) -> GpsSample:
     )
 
 
-def load_trips_csv(path: str | Path, gap_s: float = 300.0) -> list[GpsTrajectory]:
+def load_trips_csv(path: str | Path, gap_s: float = DEFAULT_TRIP_GAP_S) -> list[GpsTrajectory]:
     """Read samples, group per device, sort by time, split into trips.
 
     Rows need not be globally sorted.  Trips are ordered by device id and
@@ -323,18 +334,6 @@ def save_overlay_geojson(agg: AggregatedMobilityNetwork, net: RoadNetwork,
             }
         )
     _dump_json({"type": "FeatureCollection", "features": features}, path)
-
-
-def load_overlay_geojson(path: str | Path) -> tuple[dict[LinkId, int], str]:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    counts: dict[LinkId, int] = {}
-    source = "raw"
-    for feature in doc.get("features", []):
-        props = feature["properties"]
-        counts[props["id"]] = int(props["count"])
-        source = props.get("source", source)
-    return counts, source
 
 
 def save_report_csv(report: PrivatizationReport, path: str | Path) -> None:

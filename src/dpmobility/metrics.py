@@ -159,13 +159,18 @@ def compare(
     Every model sees the matched trips inside ``window``; each of them is
     matched once, and trips outside it are never matched.  Removal-style
     models and the raw reference run once; the adaptive-noise model draws
-    once per epsilon from one shared plan.  Unknown models and bad epsilons
-    are rejected before any matching.  Rows are dictionaries keyed by
+    once per epsilon from one shared plan.  An empty or unknown model
+    list, a bad epsilon, and no epsilons for the adaptive-noise model are
+    rejected before any matching.  Rows are dictionaries keyed by
     COMPARE_COLUMNS; ``epsilon`` is None for epsilon-independent models.
     """
+    if not models:
+        raise ValueError("no models requested")
     unknown = set(models) - set(DEFAULT_MODELS)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
+    if SOURCE_DP_ANI in models and not epsilons:
+        raise ValueError(f"model {SOURCE_DP_ANI} needs at least one epsilon")
     for eps in epsilons:
         validate_epsilon(eps)
 

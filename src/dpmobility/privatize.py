@@ -33,7 +33,6 @@ endpoint links, and clipping runs of unique links inward from both ends.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -45,6 +44,7 @@ from .adaptive import (
     DEFAULT_MAX_BUFFER_M,
     BufferResult,
     select_radius,
+    validate_buffer,
 )
 from .aggregate import AggregatedMobilityNetwork, aggregate, compute_link_counts
 from .errors import DisplacementRangeError, SparseNetworkError, UnmatchableError
@@ -76,15 +76,11 @@ class PrivacyConfig:
     buffer_step_m: float = DEFAULT_BUFFER_STEP_M
     max_buffer_m: float = DEFAULT_MAX_BUFFER_M
     global_seed: int = 0
-    perturb_repeated: bool = True
 
     def __post_init__(self):
-        if not (self.h1 >= self.h2 >= 0):
-            raise ValueError(f"thresholds must satisfy h1 >= h2 >= 0, got {self.h1}, {self.h2}")
-        for name in ("initial_buffer_m", "buffer_step_m", "max_buffer_m"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and positive: {value}")
+        validate_buffer(
+            self.h1, self.h2, self.initial_buffer_m, self.buffer_step_m, self.max_buffer_m
+        )
 
 
 @dataclass(frozen=True)
@@ -223,12 +219,9 @@ class EndpointPlan:
     raised :class:`SparseNetworkError` is left out and counted as
     ``sparse_network``.  ``fired`` holds every end of ``trips`` that the
     rule perturbs, keyed by (trip position, ORIGIN or DESTINATION).
-    ``excluded`` counts the trips dropped before any draw.  ``cfg`` is the
-    configuration the plan was built with; its ``global_seed`` seeds the
-    noise of the fired ends.
+    ``excluded`` counts the trips dropped before any draw.
     """
 
-    cfg: PrivacyConfig
     trips_in: int
     trips: dict[int, LinkTrajectory]
     excluded: dict[str, int]
@@ -263,8 +256,7 @@ def _plan(
 ) -> EndpointPlan:
     """The plan over ``trips``, keyed by their position in ``gps_corpus``."""
     counts = compute_link_counts(trips.values())
-    in_window = [trips.get(i) for i in range(len(gps_corpus))]
-    repeated = detect_repeated_od(in_window) if cfg.perturb_repeated else set()
+    repeated = detect_repeated_od([trips.get(i) for i in range(len(gps_corpus))])
 
     ends: list[tuple[tuple[int, str], LinkId, GeoPoint, BufferResult]] = []
     sparse: set[int] = set()
@@ -278,14 +270,8 @@ def _plan(
                 continue
             try:
                 buffer = select_radius(
-                    net,
-                    point,
-                    net.links[link].functional_class,
-                    cfg.h1,
-                    cfg.h2,
-                    cfg.initial_buffer_m,
-                    cfg.buffer_step_m,
-                    cfg.max_buffer_m,
+                    net, point, net.links[link].functional_class, cfg.h1, cfg.h2,
+                    cfg.initial_buffer_m, cfg.buffer_step_m, cfg.max_buffer_m,
                 )
             except SparseNetworkError:
                 sparse.add(i)
@@ -307,7 +293,6 @@ def _plan(
     }
 
     return EndpointPlan(
-        cfg=cfg,
         trips_in=len(gps_corpus),
         trips=trips,
         excluded=excluded,

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NoPathError
 from .geometry import EARTH_RADIUS_M, GeoPoint, displace, haversine_distance
 from .network import Link, LinkId, NodeId, RoadNetwork
-from .trajectories import GpsSample, GpsTrajectory, LinkTrajectory, Window
+from .trajectories import DEFAULT_UTC_OFFSET_H, GpsSample, GpsTrajectory, LinkTrajectory, Window
 
 # Anchor of the generated grid; arbitrary mid-latitude location.
 BASE_LAT = 37.80
@@ -66,7 +66,7 @@ class SynthTripConfig:
     jitter_sigma_m: float = 5.0
     repeat_fraction: float = 0.0
     seed: int = 0
-    utc_offset_hours: float = -8.0
+    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H
 
     def __post_init__(self):
         if self.n_trips < 1:

@@ -178,3 +178,11 @@ class TestSelectRadius:
         net = grid3x3()
         with pytest.raises(ValueError):
             select_radius(net, net.nodes["n001_001"], fc=4, h1=1, h2=2)
+
+    @pytest.mark.parametrize("name", ["initial_buffer_m", "step_m", "max_buffer_m"])
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0])
+    def test_buffer_size_validation(self, name, size):
+        # No class-1 link exists, so an unchecked infinite cap would grow forever.
+        net = grid3x3()
+        with pytest.raises(ValueError):
+            select_radius(net, net.nodes["n001_001"], fc=1, **{name: size})

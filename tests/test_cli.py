@@ -5,8 +5,11 @@ import sys
 import pytest
 
 from dpmobility import formats
-from dpmobility.cli import main
+from dpmobility.cli import _load_windowed_corpus, _privacy_config, build_parser, main
+from dpmobility.matching import MatchConfig
 from dpmobility.metrics import COMPARE_COLUMNS
+from dpmobility.privatize import PrivacyConfig
+from dpmobility.trajectories import DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H
 
 from conftest import child_env
 
@@ -17,6 +20,14 @@ def run_cli(args, **env_overrides):
         [sys.executable, "-m", "dpmobility.cli", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def one_link_geojson(coordinates, **props) -> str:
+    return json.dumps({"type": "FeatureCollection", "features": [{
+        "type": "Feature",
+        "geometry": {"type": "LineString", "coordinates": coordinates},
+        "properties": {"id": "L1", "from": "a", "to": "b", "fc": 3, "speed_mps": 10.0, **props},
+    }]})
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +74,10 @@ class TestPrivatizeCommand:
         assert code == 0
         counts, source = formats.load_aggregation_csv(out / "privatized_aggregation.csv")
         assert counts and source == "dp-ani"
-        overlay_counts, _ = formats.load_overlay_geojson(out / "privatized_overlay.geojson")
-        assert overlay_counts == counts
+        overlay = json.loads((out / "privatized_overlay.geojson").read_text())
+        props = [feature["properties"] for feature in overlay["features"]]
+        assert {p["id"]: p["count"] for p in props} == counts
+        assert all(p["source"] == "dp-ani" for p in props)
         report = formats.load_report_csv(out / "privatization_report.csv")
         assert report.trips_in == 240
         manifest = formats.read_manifest(out / "manifest.json")
@@ -94,15 +107,18 @@ class TestPrivatizeCommand:
          ":2"),
         ("trips", "bad.csv", "device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00,37.8,-122.3\n",
          ":2"),
+        ("trips", "bad.csv",
+         "device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00Z,37.8,-122.3,99,oops\n", ":2"),
         ("network", "bad.csv",
          ",".join(formats.NETWORK_CSV_COLUMNS) + "\nL1,a,b,37.8,-122.3\n", ":2"),
-        ("network", "bad.geojson", json.dumps({"type": "FeatureCollection", "features": [{
-            "type": "Feature",
-            "geometry": {"type": "LineString", "coordinates": [[-122.3, None], [-122.3, 37.8]]},
-            "properties": {"id": "L1", "from": "a", "to": "b", "fc": 3, "speed_mps": 10.0},
-        }]}), " (feature 0)"),
-    ], ids=["bad-timestamp", "short-trip-row", "naive-timestamp", "short-network-row",
-            "null-coordinate"])
+        ("network", "bad.geojson",
+         one_link_geojson([[-122.3, None], [-122.3, 37.8]]), " (feature 0)"),
+        ("network", "bad.geojson",
+         one_link_geojson([[-122.3, 37.8], [-122.3, 37.801]], fc=3.7), " (feature 0)"),
+        ("network", "bad.geojson",
+         one_link_geojson([[-122.3, 37.8], [-122.3, 37.801]], lanes=0), " (feature 0)"),
+    ], ids=["bad-timestamp", "short-trip-row", "naive-timestamp", "long-trip-row",
+            "short-network-row", "null-coordinate", "fractional-fc", "zero-lanes"])
     def test_malformed_trips_exit_2(self, inputs, tmp_path, capsys, kind, name, text, where):
         _, net, trips, _ = inputs
         bad = tmp_path / name
@@ -161,12 +177,13 @@ class TestCompareCommand:
     def test_unknown_model_exit_2(self, inputs, tmp_path):
         _, net, trips, _ = inputs
         out = tmp_path / "x"
-        code = main([
-            "compare", "--network", str(net), "--trips", str(trips),
-            "--models", "raw,nonsense", "--out", str(out),
-        ])
-        assert code == 2
-        assert not out.exists()
+        for option in (("--models", "raw,nonsense"), ("--models", ","), ("--epsilons", "")):
+            code = main([
+                "compare", "--network", str(net), "--trips", str(trips),
+                *option, "--out", str(out),
+            ])
+            assert code == 2, option
+            assert not out.exists()
 
     def test_nonpositive_epsilon_exit_2(self, inputs, tmp_path):
         _, net, trips, _ = inputs
@@ -236,6 +253,37 @@ class TestAggregateAndMetrics:
         assert r.returncode == 0
         keys = {line.split("=")[0] for line in r.stdout.splitlines() if "=" in line}
         assert {"trips", "network_length_mi", "vmt_mi", "vht_h", "vhd_h"} <= keys
+
+
+class TestOptionDefaults:
+    """Every default of a run setting is the library's own."""
+
+    @pytest.mark.parametrize("command, required", [
+        ("privatize", ["--epsilon", "1"]),
+        ("compare", []),
+    ])
+    def test_defaults_come_from_the_library(self, inputs, tmp_path, command, required):
+        _, net, trips, _ = inputs
+        args = build_parser().parse_args([
+            command, "--network", str(net), "--trips", str(trips), *required,
+            "--out", str(tmp_path / "x"),
+        ])
+        assert _privacy_config(args) == PrivacyConfig()
+        assert (args.gap, args.utc_offset) == (DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H)
+        *_, match_cfg = _load_windowed_corpus(args)
+        assert match_cfg == MatchConfig()
+
+    @pytest.mark.parametrize("command", [
+        ["privatize"], ["compare"], ["aggregate"], ["metrics"], ["synth"],
+        ["synth", "network"], ["synth", "trips"], ["verify-dp"],
+    ], ids=" ".join)
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert "usage:" in out
+        assert "--keep-repeated" not in out  # the repeated-OD rule has no switch
 
 
 class TestVerifyDp:

@@ -75,7 +75,8 @@ class TestNetworkFiles:
     @pytest.mark.parametrize("row", [
         "L2,a,c,37.8,-122.3,37.801",
         "L2,a,c,37.8,-122.3,37.801,-122.3,x,10.0,1,",
-    ], ids=["short-row", "bad-fc"])
+        "L2,a,c,37.8,-122.3,37.801,-122.3,3,10.0,0,",
+    ], ids=["short-row", "bad-fc", "zero-lanes"])
     def test_bad_csv_row_reports_line(self, tmp_path, row):
         path = tmp_path / "net.csv"
         path.write_text(
@@ -101,6 +102,25 @@ class TestNetworkFiles:
             path.write_text(json.dumps(doc))
         with pytest.raises(InputFormatError, match="duplicate link id"):
             formats.load_network(path)
+
+    @pytest.mark.parametrize("props", [{"fc": 3.7}, {"lanes": 0}, {"lanes": 1.5}],
+                             ids=["fractional-fc", "zero-lanes", "fractional-lanes"])
+    def test_bad_feature_value_reports_feature(self, tmp_path, props):
+        path = tmp_path / "bad.geojson"
+        features = [
+            {
+                "type": "Feature",
+                "geometry": {"type": "LineString",
+                             "coordinates": [[-122.3, 37.8], [-122.3, 37.801]]},
+                "properties": {"id": lid, "from": "a", "to": "b", "fc": 3,
+                               "speed_mps": 12.0, **extra},
+            }
+            for lid, extra in (("L1", {}), ("L2", props))
+        ]
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        with pytest.raises(InputFormatError) as err:
+            formats.load_network_geojson(path)
+        assert err.value.path == f"{path} (feature 1)"
 
     def test_missing_property_rejected(self, tmp_path):
         path = tmp_path / "noprops.geojson"
@@ -144,7 +164,8 @@ class TestTripFiles:
         "d1,not-a-time,37.8,-122.3",
         "d1,2026-01-06T21:40:00Z,37.8",
         "d1,2026-01-06T21:40:00,37.8,-122.3",
-    ], ids=["bad-timestamp", "short-row", "naive-timestamp"])
+        "d1,2026-01-06T21:40:00Z,37.8,-122.3,99,oops",
+    ], ids=["bad-timestamp", "short-row", "naive-timestamp", "long-row"])
     def test_bad_row_reports_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -171,15 +192,6 @@ class TestAggregationAndReportFiles:
         counts, source = formats.load_aggregation_csv(path)
         assert counts == agg.counts
         assert source == "raw"
-
-    def test_overlay_round_trip(self, setup):
-        net, _, truth, tmp = setup
-        agg = aggregate(truth, source="dp-ani")
-        path = tmp / "overlay.geojson"
-        formats.save_overlay_geojson(agg, net, path)
-        counts, source = formats.load_overlay_geojson(path)
-        assert counts == agg.counts
-        assert source == "dp-ani"
 
     def test_report_round_trip(self, setup):
         net, gps, _, tmp = setup

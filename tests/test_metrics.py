@@ -270,10 +270,12 @@ class TestCompare:
         assert rows1 == rows2
         assert rows1[0]["unchanged_slc_od"] != rows1[1]["unchanged_slc_od"]
 
-    def test_unknown_model_rejected(self, small_setup):
+    def test_unknown_model_rejected(self, small_setup, match_calls):
         net, corpus = small_setup
-        with pytest.raises(ValueError):
-            compare(corpus, net, PrivacyConfig(), models=("bogus",))
+        for models in (("bogus",), ()):
+            with pytest.raises(ValueError):
+                compare(corpus, net, PrivacyConfig(), models=models)
+        assert match_calls == []
 
     def test_removal_only_shrinks(self, small_setup):
         from dpmobility.privatize import match_corpus, trip_remove
@@ -375,7 +377,7 @@ class TestCompare:
             raise AssertionError("select_radius called without a dp-ani model")
 
         monkeypatch.setattr(privatize_module, "select_radius", fail)
-        rows = compare(corpus, net, PrivacyConfig(),
+        rows = compare(corpus, net, PrivacyConfig(), epsilons=(),
                        models=("raw", "trip-remove", "od-remove", "od-successive"))
         assert len(rows) == 4
 
@@ -386,6 +388,8 @@ class TestCompare:
         for epsilon in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 compare(corpus, net, PrivacyConfig(), epsilons=(1.0, epsilon))
+        with pytest.raises(ValueError):
+            compare(corpus, net, PrivacyConfig(), epsilons=())
         assert match_calls == []
 
     def test_window_trips_matched_once(self, small_setup, match_calls):

@@ -188,17 +188,6 @@ class TestPrivatizePipeline:
         ods = {(t.links[0], t.links[-1]) for t in out.values()}
         assert len(ods) == 1
 
-    def test_perturb_repeated_can_be_disabled(self, city20):
-        trips = [
-            trip_along_route(city20, "n011_011", "n011_014", day, device="commuter")
-            for day in DAYS
-        ]
-        matched, _ = match_corpus(trips, city20)
-        cfg = PrivacyConfig(global_seed=1, perturb_repeated=False)
-        out, report = draw(trips, city20, cfg, 0.5)
-        assert report.endpoints_perturbed == 0
-        assert all(out[i].links == matched[i].links for i in out)
-
     def test_report_accounting(self, city20):
         cfg_trips = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),), seed=14)
         corpus, _ = generate_trips(city20, cfg_trips)
@@ -230,8 +219,12 @@ class TestPrivacyConfig:
         {"h1": 0, "h2": -1},
         {"initial_buffer_m": 0.0},
         {"initial_buffer_m": float("nan")},
+        {"initial_buffer_m": float("inf")},
         {"buffer_step_m": -10.0},
+        {"buffer_step_m": 0.0},
         {"buffer_step_m": float("nan")},
+        {"buffer_step_m": float("inf")},
+        {"max_buffer_m": 0.0},
         {"max_buffer_m": float("nan")},
         {"max_buffer_m": float("inf")},
     ])
