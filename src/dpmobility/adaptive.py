@@ -43,7 +43,6 @@ class BufferResult:
 
     radius_m: float  # noise radius: half the final buffer
     buffer_set_fc: frozenset[LinkId]
-    final_buffer_m: float
     iterations: int
 
 
@@ -79,7 +78,6 @@ def select_radius(
             return BufferResult(
                 radius_m=z / 2.0,
                 buffer_set_fc=frozenset(fc_links),
-                final_buffer_m=z,
                 iterations=iterations,
             )
         z += step_m

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed verification, 2 bad inputs or usage,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import date
 from pathlib import Path
@@ -230,7 +231,7 @@ def cmd_metrics(args) -> int:
 def cmd_synth_network(args) -> int:
     cfg = SynthCityConfig(
         rows=args.rows, cols=args.cols, spacing_m=args.spacing,
-        arterial_every=args.arterial_every, seed=args.seed,
+        arterial_every=args.arterial_every,
     )
     net = generate_city(cfg)
     out = Path(args.out)
@@ -270,6 +271,9 @@ def cmd_synth_trips(args) -> int:
 
 
 def cmd_verify_dp(args) -> int:
+    for name, value in (("--distance", args.distance), ("--slack", args.slack)):
+        if not (0.0 <= value < math.inf):
+            raise ValueError(f"{name} must be finite and non-negative: {value}")
     params = NoiseParams(args.epsilon, args.radius)
     x0 = VERIFY_REFERENCE_POINT
     x1 = displace(x0, args.distance, 0.0) if args.distance > 0 else x0
@@ -331,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--spacing", type=float, default=SynthCityConfig.spacing_m,
                    help="node spacing, meters")
     q.add_argument("--arterial-every", type=int, default=SynthCityConfig.arterial_every)
-    q.add_argument("--seed", type=int, default=SynthCityConfig.seed)
     q.add_argument("--out", required=True, help=".geojson or .csv path")
     q.set_defaults(func=cmd_synth_network)
 

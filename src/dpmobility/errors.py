@@ -15,8 +15,8 @@ class InputFormatError(DpMobilityError):
         super().__init__(f"{where}: {message}")
 
 
-class NetworkError(DpMobilityError):
-    """Road network violates a structural invariant."""
+class NetworkError(DpMobilityError, ValueError):
+    """A link or the road network violates a structural invariant."""
 
 
 class NoCandidateError(DpMobilityError):

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from .aggregate import AggregatedMobilityNetwork
-from .errors import InputFormatError
+from .errors import InputFormatError, NetworkError
 from .geometry import GeoPoint, haversine_distance
 from .network import Link, LinkId, NodeId, RoadNetwork
 from .privatize import EndpointDecision, PrivatizationReport
@@ -29,12 +29,12 @@ from .trajectories import (
     validate_trip_gap,
 )
 
-TRIP_COLUMNS = ("device_id", "timestamp", "lat", "lon", "speed_mps", "heading_deg")
+TRIP_COLUMNS = ("device_id", "timestamp", "lat", "lon")
 AGGREGATION_COLUMNS = ("link_id", "count", "length_m", "fc")
 REPORT_COLUMNS = ("trip", "end", "original_link", "perturbed", "matched_link", "new_link", "radius_m")
 NETWORK_CSV_COLUMNS = (
     "id", "from_node", "to_node", "from_lat", "from_lon", "to_lat", "to_lon",
-    "fc", "speed_mps", "lanes", "length_m",
+    "fc", "speed_mps", "length_m",
 )
 
 
@@ -133,9 +133,6 @@ def _link_from_properties(props: dict, geometry: tuple[GeoPoint, ...]) -> Link:
     length = props.get("length_m")
     if length in (None, ""):
         length = sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
-    lanes = 1 if props.get("lanes") in (None, "") else _whole(props["lanes"])
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
     return Link(
         id=str(props["id"]),
         from_node=str(props["from"]),
@@ -144,7 +141,6 @@ def _link_from_properties(props: dict, geometry: tuple[GeoPoint, ...]) -> Link:
         length_m=float(length),
         functional_class=_whole(props["fc"]),
         speed_mps=float(props["speed_mps"]),
-        lanes=lanes,
     )
 
 
@@ -158,15 +154,19 @@ def _network(path: str | Path, links: Sequence[Link]) -> RoadNetwork:
         by_id[link.id] = link
         nodes.setdefault(link.from_node, link.geometry[0])
         nodes.setdefault(link.to_node, link.geometry[-1])
-    return RoadNetwork(nodes, by_id)
+    try:
+        return RoadNetwork(nodes, by_id)
+    except NetworkError as e:  # a file with no links has no nodes
+        raise InputFormatError(str(path), None, str(e)) from e
 
 
 def load_network_geojson(path: str | Path) -> RoadNetwork:
     """Network from a FeatureCollection of LineString links.
 
     Required feature properties: id, from, to, fc, speed_mps; optional:
-    length_m (computed from the geometry when absent), lanes.  Node
-    positions come from the first/last geometry vertices.
+    length_m (computed from the geometry when absent).  Other properties
+    are ignored.  Node positions come from the first/last geometry
+    vertices.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -207,7 +207,6 @@ def save_network_geojson(net: RoadNetwork, path: str | Path) -> None:
                     "fc": link.functional_class,
                     "length_m": link.length_m,
                     "speed_mps": link.speed_mps,
-                    "lanes": link.lanes,
                 },
             }
         )
@@ -233,7 +232,7 @@ def save_network_csv(net: RoadNetwork, path: str | Path) -> None:
         a, b = link.geometry[0], link.geometry[-1]
         rows.append(
             (link.id, link.from_node, link.to_node, a.lat, a.lon, b.lat, b.lon,
-             link.functional_class, link.speed_mps, link.lanes, link.length_m)
+             link.functional_class, link.speed_mps, link.length_m)
         )
     _write_csv(path, NETWORK_CSV_COLUMNS, rows)
 
@@ -252,13 +251,11 @@ def load_network(path: str | Path) -> RoadNetwork:
 
 
 def save_trips_csv(corpus: Sequence[GpsTrajectory], path: str | Path) -> None:
-    rows = []
-    for traj in corpus:
-        for s in traj.samples:
-            rows.append(
-                (s.device, format_timestamp(s.t), s.point.lat, s.point.lon,
-                 s.speed_mps, s.heading_deg)
-            )
+    rows = [
+        (s.device, format_timestamp(s.t), s.point.lat, s.point.lon)
+        for traj in corpus
+        for s in traj.samples
+    ]
     _write_csv(path, TRIP_COLUMNS, rows)
 
 
@@ -267,8 +264,6 @@ def _sample(row: dict) -> GpsSample:
         device=row["device_id"],
         t=parse_timestamp(row["timestamp"]),
         point=GeoPoint(float(row["lat"]), float(row["lon"])),
-        speed_mps=float(row["speed_mps"]) if row.get("speed_mps") else None,
-        heading_deg=float(row["heading_deg"]) if row.get("heading_deg") else None,
     )
 
 
@@ -280,7 +275,7 @@ def load_trips_csv(path: str | Path, gap_s: float = DEFAULT_TRIP_GAP_S) -> list[
     """
     validate_trip_gap(gap_s)
     per_device: dict[str, list[GpsSample]] = {}
-    for sample in _read_csv(path, ("device_id", "timestamp", "lat", "lon"), _sample)[1]:
+    for sample in _read_csv(path, TRIP_COLUMNS, _sample)[1]:
         per_device.setdefault(sample.device, []).append(sample)
     corpus: list[GpsTrajectory] = []
     for device in sorted(per_device):

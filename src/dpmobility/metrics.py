@@ -54,21 +54,10 @@ def vmt(corpus: Sequence[LinkTrajectory], net: RoadNetwork) -> float:
 
 
 def vht(corpus: Sequence[LinkTrajectory], net: RoadNetwork) -> float:
-    """Vehicle hours traveled.
-
-    Trips carrying an observed speed for every link use those; all other
-    trips are timed at free-flow speeds.
-    """
+    """Vehicle hours traveled at free-flow speeds."""
     seconds = 0.0
     for t in corpus:
-        if t.speeds is not None:
-            seconds += sum(
-                net.links[lid].length_m / s for lid, s in zip(t.links, t.speeds)
-            )
-        else:
-            seconds += sum(
-                net.links[lid].length_m / net.links[lid].speed_mps for lid in t.links
-            )
+        seconds += sum(net.links[lid].length_m / net.links[lid].speed_mps for lid in t.links)
     return seconds / 3600.0
 
 

@@ -47,7 +47,13 @@ MAX_FUNCTIONAL_CLASS = 5
 
 @dataclass(frozen=True)
 class Link:
-    """One directed road segment between two nodes."""
+    """One directed road segment between two nodes.
+
+    A link checks itself: at least two valid geometry points, a positive
+    length no shorter than 0.999 times the geometry's chord sum, a
+    functional class in [1, 5] and a positive speed; anything else raises
+    :class:`NetworkError`.
+    """
 
     id: LinkId
     from_node: NodeId
@@ -56,7 +62,30 @@ class Link:
     length_m: float
     functional_class: int
     speed_mps: float
-    lanes: int = 1
+
+    def __post_init__(self):
+        if len(self.geometry) < 2:
+            raise NetworkError(f"link {self.id!r}: geometry needs at least 2 points")
+        for p in self.geometry:
+            try:
+                validate_geopoint(p)
+            except ValueError as e:
+                raise NetworkError(f"link {self.id!r}: {e}") from e
+        if not (self.length_m > 0.0):
+            raise NetworkError(f"link {self.id!r}: non-positive length {self.length_m}")
+        chords = sum(haversine_distance(a, b) for a, b in zip(self.geometry, self.geometry[1:]))
+        if self.length_m < 0.999 * chords:
+            raise NetworkError(
+                f"link {self.id!r}: length {self.length_m:.2f} m inconsistent with "
+                f"geometry chord sum {chords:.2f} m"
+            )
+        if not (MIN_FUNCTIONAL_CLASS <= self.functional_class <= MAX_FUNCTIONAL_CLASS):
+            raise NetworkError(
+                f"link {self.id!r}: functional class {self.functional_class} outside "
+                f"[{MIN_FUNCTIONAL_CLASS}, {MAX_FUNCTIONAL_CLASS}]"
+            )
+        if not (self.speed_mps > 0.0):
+            raise NetworkError(f"link {self.id!r}: non-positive speed {self.speed_mps}")
 
 
 class RoadNetwork:
@@ -106,32 +135,6 @@ class RoadNetwork:
                 raise NetworkError(f"link {lid!r}: unknown from-node {link.from_node!r}")
             if link.to_node not in self.nodes:
                 raise NetworkError(f"link {lid!r}: unknown to-node {link.to_node!r}")
-            if len(link.geometry) < 2:
-                raise NetworkError(f"link {lid!r}: geometry needs at least 2 points")
-            for p in link.geometry:
-                try:
-                    validate_geopoint(p)
-                except ValueError as e:
-                    raise NetworkError(f"link {lid!r}: {e}") from e
-            if not (link.length_m > 0.0):
-                raise NetworkError(f"link {lid!r}: non-positive length {link.length_m}")
-            chords = sum(
-                haversine_distance(a, b) for a, b in zip(link.geometry, link.geometry[1:])
-            )
-            if link.length_m < 0.999 * chords:
-                raise NetworkError(
-                    f"link {lid!r}: length {link.length_m:.2f} m inconsistent with "
-                    f"geometry chord sum {chords:.2f} m"
-                )
-            if not (MIN_FUNCTIONAL_CLASS <= link.functional_class <= MAX_FUNCTIONAL_CLASS):
-                raise NetworkError(
-                    f"link {lid!r}: functional class {link.functional_class} outside "
-                    f"[{MIN_FUNCTIONAL_CLASS}, {MAX_FUNCTIONAL_CLASS}]"
-                )
-            if not (link.speed_mps > 0.0):
-                raise NetworkError(f"link {lid!r}: non-positive speed {link.speed_mps}")
-            if link.lanes < 1:
-                raise NetworkError(f"link {lid!r}: lanes must be >= 1")
 
     def _index_xy(self, p: GeoPoint) -> tuple[float, float]:
         pp = project(p, self._anchor)

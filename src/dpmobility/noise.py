@@ -203,14 +203,16 @@ def verify_geo_indistinguishability(
     the maximum |log(count0/count1)| over cells holding at least
     ``min_cell_count`` samples from both clouds.  For an
     (eps/R)-geo-indistinguishable mechanism this is bounded by
-    (eps/R) * d(x0, x1) up to sampling noise.
+    (eps/R) * d(x0, x1) up to sampling noise.  A cell size that is not
+    finite and positive, or no such cell at all (nothing was compared),
+    raises ValueError.
 
     Results are statistically meaningful from roughly 1e5 samples up.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if cell_m <= 0.0:
-        raise ValueError("cell size must be positive")
+    if not (0.0 < cell_m < math.inf):
+        raise ValueError(f"cell size must be finite and positive: {cell_m}")
     d01 = haversine_distance(x0, x1)
     if d01 > 10.0 * params.radius_m:
         raise ValueError(
@@ -229,9 +231,14 @@ def verify_geo_indistinguishability(
 
     counts0 = cell_counts(x0)
     counts1 = cell_counts(x1)
-    worst = 0.0
+    ratios = []
     for key, c0 in counts0.items():
         c1 = counts1.get(key, 0)
         if c0 >= min_cell_count and c1 >= min_cell_count:
-            worst = max(worst, abs(math.log(c0 / c1)))
-    return worst
+            ratios.append(abs(math.log(c0 / c1)))
+    if not ratios:
+        raise ValueError(
+            f"no {cell_m} m cell holds {min_cell_count} samples from both points; "
+            "nothing was compared"
+        )
+    return max(ratios)

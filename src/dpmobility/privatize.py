@@ -196,7 +196,6 @@ class FiredEnd:
     generator.  None of them depends on epsilon.
     """
 
-    link: LinkId
     point: GeoPoint
     buffer: BufferResult
     theta: float
@@ -213,10 +212,10 @@ class FiredEnd:
 class EndpointPlan:
     """The epsilon-independent part of one privatization run.
 
-    ``counts`` and ``repeated`` are computed over the matched trips inside
-    the window.  ``trips`` maps corpus positions to those of them the draw
-    re-routes: a trip with a fired end for which :func:`select_radius`
-    raised :class:`SparseNetworkError` is left out and counted as
+    ``counts`` is computed over the matched trips inside the window.
+    ``trips`` maps corpus positions to those of them the draw re-routes:
+    a trip with a fired end for which :func:`select_radius` raised
+    :class:`SparseNetworkError` is left out and counted as
     ``sparse_network``.  ``fired`` holds every end of ``trips`` that the
     rule perturbs, keyed by (trip position, ORIGIN or DESTINATION).
     ``excluded`` counts the trips dropped before any draw.
@@ -226,7 +225,6 @@ class EndpointPlan:
     trips: dict[int, LinkTrajectory]
     excluded: dict[str, int]
     counts: dict[LinkId, int]
-    repeated: frozenset[int]
     fired: dict[tuple[int, str], FiredEnd]
 
 
@@ -288,8 +286,8 @@ def _plan(
     uniforms = [laplace_uniforms(seeds.generator(link, key[1])) for key, link, _, _ in ends]
     units = unit_radius([p for _, p in uniforms]).tolist()
     fired = {
-        key: FiredEnd(link, point, buffer, theta, unit)
-        for (key, link, point, buffer), (theta, _), unit in zip(ends, uniforms, units)
+        key: FiredEnd(point, buffer, theta, unit)
+        for (key, _, point, buffer), (theta, _), unit in zip(ends, uniforms, units)
     }
 
     return EndpointPlan(
@@ -297,7 +295,6 @@ def _plan(
         trips=trips,
         excluded=excluded,
         counts=counts,
-        repeated=frozenset(repeated),
         fired=fired,
     )
 
@@ -418,7 +415,7 @@ def od_remove(corpus: Sequence[LinkTrajectory]) -> list[LinkTrajectory | None]:
             links = links[:-1]
         if drop_first and links:
             links = links[1:]
-        out.append(replace(t, links=tuple(links), speeds=None) if links else None)
+        out.append(replace(t, links=tuple(links)) if links else None)
     return out
 
 
@@ -432,7 +429,7 @@ def od_successive_remove(corpus: Sequence[LinkTrajectory]) -> list[LinkTrajector
             links.pop(0)
         while links and counts[links[-1]] == 1:
             links.pop()
-        out.append(replace(t, links=tuple(links), speeds=None) if links else None)
+        out.append(replace(t, links=tuple(links)) if links else None)
     return out
 
 

@@ -30,7 +30,11 @@ _MIN_TRIP_SEPARATION_S = 310.0
 @dataclass(frozen=True)
 class SynthCityConfig:
     """Grid city layout: ``rows`` x ``cols`` nodes spaced ``spacing_m``
-    apart, with every ``arterial_every``-th row/column line an arterial."""
+    apart, with every ``arterial_every``-th row/column line an arterial.
+
+    ``seed`` changes nothing, because :func:`generate_city` draws nothing
+    at random; it stays only while the benchmark's set-up passes it.
+    """
 
     rows: int
     cols: int
@@ -258,7 +262,6 @@ def generate_trips(
             samples = []
             for tau in times:
                 s = 0.0
-                speed = net.links[route[-1]].speed_mps
                 remaining = tau
                 for lid, dur in zip(route, link_durations):
                     if remaining >= dur:
@@ -266,15 +269,12 @@ def generate_trips(
                         remaining -= dur
                     else:
                         s += net.links[lid].length_m * remaining / dur
-                        speed = net.links[lid].speed_mps
                         break
                 point = _interpolate(pts, cum, s)
                 if cfg.jitter_sigma_m > 0.0:
                     dx, dy = trip_rng.normal(0.0, cfg.jitter_sigma_m, size=2)
                     point = displace(point, math.hypot(dx, dy), math.atan2(dy, dx))
-                samples.append(
-                    GpsSample(device=dev, t=round(t0 + tau, 3), point=point, speed_mps=speed)
-                )
+                samples.append(GpsSample(device=dev, t=round(t0 + tau, 3), point=point))
             gps_corpus.append(GpsTrajectory(device=dev, samples=tuple(samples)))
             truth.append(
                 LinkTrajectory(

@@ -24,8 +24,6 @@ class GpsSample:
     device: str
     t: float  # UTC epoch seconds
     point: GeoPoint
-    speed_mps: float | None = None
-    heading_deg: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.t):
@@ -65,23 +63,19 @@ class LinkTrajectory:
     """Ordered, connected link sequence for one trip.
 
     ``day`` and ``hour`` are the local calendar date and hour-of-day bin of
-    the trip origin.  ``speeds`` optionally carries an observed speed per
-    link (same length as ``links``) for travel-time metrics.
+    the trip origin.
     """
 
     device: str
     day: date
     hour: int
     links: tuple[LinkId, ...]
-    speeds: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if len(self.links) < 1:
             raise ValueError("a link trajectory needs at least 1 link")
         if not (0 <= self.hour <= 23):
             raise ValueError(f"hour bin out of range: {self.hour}")
-        if self.speeds is not None and len(self.speeds) != len(self.links):
-            raise ValueError("speeds must align with links")
 
     def is_connected(self, net: RoadNetwork) -> bool:
         return all(

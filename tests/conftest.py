@@ -45,7 +45,6 @@ def make_network(nodes_m: dict[str, tuple[float, float]],
             length_m=attrs.get("length_m", haversine_distance(*geometry)),
             functional_class=attrs.get("fc", 4),
             speed_mps=attrs.get("speed_mps", 10.0),
-            lanes=attrs.get("lanes", 1),
         )
     return RoadNetwork(nodes, links)
 

@@ -32,7 +32,7 @@ def probe_by_probe(net, point, fc, h1, h2, initial_buffer_m=20.0, step_m=10.0,
         all_ids = net.links_within(point, z)
         fc_ids = frozenset(lid for lid in all_ids if net.links[lid].functional_class == fc)
         if len(all_ids) > h1 and len(fc_ids) > h2:
-            return BufferResult(z / 2.0, fc_ids, z, iterations)
+            return BufferResult(z / 2.0, fc_ids, iterations)
         z += step_m
     return None
 
@@ -97,18 +97,17 @@ class TestSelectRadius:
         net = grid3x3()
         point = net.nodes["n001_001"]
         result = select_radius(net, point, fc=4, h1=0, h2=0)
-        assert result.final_buffer_m == 20.0
         assert result.radius_m == 10.0
         assert result.iterations == 1
         assert result.buffer_set_fc
         z, fc_ids = brute_force_final_buffer(net, point, 4, 0, 0)
-        assert (z, fc_ids) == (result.final_buffer_m, result.buffer_set_fc)
+        assert (z / 2.0, fc_ids) == (result.radius_m, result.buffer_set_fc)
 
     def test_dense_grid_growth(self):
         net = grid3x3()
         point = net.nodes["n001_001"]  # 8 incident directed links at distance 0
         result = select_radius(net, point, fc=4, h1=4, h2=4)
-        assert result.final_buffer_m == 20.0
+        assert result.radius_m == 10.0
         assert len(result.buffer_set_fc) == 8
 
     def test_growth_matches_oracle_at_varied_points(self, city20):
@@ -122,7 +121,6 @@ class TestSelectRadius:
             fc = 4
             expect_z, expect_fc = brute_force_final_buffer(city20, point, fc, h1, h2)
             result = select_radius(city20, point, fc, h1, h2)
-            assert result.final_buffer_m == expect_z
             assert result.buffer_set_fc == frozenset(expect_fc)
             assert result.radius_m == expect_z / 2.0
 
@@ -130,7 +128,6 @@ class TestSelectRadius:
         # 8 incident links tie at the 8-link threshold, so the buffer grows
         # until the neighbours' links enter at 100 m.
         result = select_radius(city20, city20.nodes["n010_011"], fc=4)
-        assert result.final_buffer_m == 100.0
         assert result.radius_m == 50.0
 
     def test_sparse_network_error(self):
@@ -172,7 +169,7 @@ class TestSelectRadius:
             edges.append((f"e{i}b", b, a))
         net = make_network(nodes, edges)
         result = select_radius(net, net.nodes["o"], fc=4, h1=8, h2=8)
-        assert result.final_buffer_m > 1000.0
+        assert result.radius_m > 500.0
 
     def test_threshold_validation(self):
         net = grid3x3()

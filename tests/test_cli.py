@@ -55,6 +55,12 @@ class TestSynthCommands:
         assert len(formats.load_trips_csv(trips)) == 240
         assert len(formats.load_link_corpus_csv(truth)) == 240
 
+    def test_network_takes_no_seed(self, tmp_path):
+        # generate_city draws nothing at random, so a seed would change nothing.
+        with pytest.raises(SystemExit) as exit_:
+            main(["synth", "network", "--seed", "1", "--out", str(tmp_path / "n.geojson")])
+        assert exit_.value.code == 2
+
     def test_csv_network_output(self, inputs, tmp_path):
         out = tmp_path / "net.csv"
         assert main(["synth", "network", "--rows", "4", "--cols", "3",
@@ -86,6 +92,44 @@ class TestPrivatizeCommand:
             "privatization_report.csv",
         }
 
+    def test_older_file_layouts_release_the_same(self, inputs, tmp_path):
+        # The earlier layouts also carry trip speed and heading and link
+        # lanes.  Nothing reads those, so the files load and release the same.
+        _, net, trips, _ = inputs
+        header, *rows = trips.read_text().splitlines()
+        old_trips = tmp_path / "old_trips.csv"
+        old_trips.write_text(
+            "".join(f"{line}\n" for line in [header + ",speed_mps,heading_deg"]
+                    + [row + ",11.0," for row in rows])
+        )
+        doc = json.loads(net.read_text())
+        for feature in doc["features"]:
+            feature["properties"]["lanes"] = 2
+        old_geojson = tmp_path / "old_net.geojson"
+        old_geojson.write_text(json.dumps(doc))
+        new_csv, old_csv = tmp_path / "net.csv", tmp_path / "old_net.csv"
+        formats.save_network_csv(formats.load_network(net), new_csv)
+        lines = [line.split(",") for line in new_csv.read_text().splitlines()]
+        old_csv.write_text("".join(
+            ",".join(fields[:-1] + [lanes, fields[-1]]) + "\n"
+            for fields, lanes in zip(lines, ["lanes"] + ["2"] * len(lines))
+        ))
+
+        assert formats.load_trips_csv(old_trips) == formats.load_trips_csv(trips)
+        for old, new in ((old_geojson, net), (old_csv, new_csv)):
+            loaded, expected = formats.load_network(old), formats.load_network(new)
+            assert (loaded.nodes, loaded.links) == (expected.nodes, expected.links)
+        for label, network, trip_file in (("new", net, trips), ("old-geojson", old_geojson,
+                                          old_trips), ("old-csv", old_csv, old_trips)):
+            assert main([
+                "privatize", "--network", str(network), "--trips", str(trip_file),
+                "--epsilon", "1", "--seed", "3", "--days", "T,W", "--out", str(tmp_path / label),
+            ]) == 0
+        for label in ("old-geojson", "old-csv"):
+            for name in ("privatized_aggregation.csv", "privatization_report.csv"):
+                assert (tmp_path / label / name).read_bytes() == \
+                    (tmp_path / "new" / name).read_bytes()
+
     def test_empty_window_exit_3(self, inputs, tmp_path):
         _, net, trips, _ = inputs
         code = main([
@@ -116,9 +160,14 @@ class TestPrivatizeCommand:
         ("network", "bad.geojson",
          one_link_geojson([[-122.3, 37.8], [-122.3, 37.801]], fc=3.7), " (feature 0)"),
         ("network", "bad.geojson",
-         one_link_geojson([[-122.3, 37.8], [-122.3, 37.801]], lanes=0), " (feature 0)"),
+         one_link_geojson([[-122.3, 37.8], [-122.3, 37.801]], fc=9), " (feature 0)"),
+        ("network", "bad.csv",
+         ",".join(formats.NETWORK_CSV_COLUMNS) + "\nL1,a,b,37.8,-122.3,37.801,-122.3,3,0,\n",
+         ":2"),
+        ("network", "bad.geojson", '{"type": "FeatureCollection", "features": []}', ""),
     ], ids=["bad-timestamp", "short-trip-row", "naive-timestamp", "long-trip-row",
-            "short-network-row", "null-coordinate", "fractional-fc", "zero-lanes"])
+            "short-network-row", "null-coordinate", "fractional-fc", "fc-9", "zero-speed",
+            "empty-network"])
     def test_malformed_trips_exit_2(self, inputs, tmp_path, capsys, kind, name, text, where):
         _, net, trips, _ = inputs
         bad = tmp_path / name
@@ -305,3 +354,19 @@ class TestVerifyDp:
         r = run_cli(["verify-dp", "--epsilon", "-1", "--radius", "100",
                      "--distance", "0"])
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("options", [
+        ("--distance", "1000", "--samples", "200"),
+        ("--cell", "nan"),
+        ("--cell", "inf"),
+        ("--distance", "-100"),
+        ("--distance", "nan"),
+        ("--distance", "inf"),
+        ("--slack", "-0.1"),
+        ("--slack", "nan"),
+    ], ids=" ".join)
+    def test_nothing_compared_or_bad_option_exit_2(self, options, capsys):
+        argv = ["verify-dp", "--epsilon", "1", "--radius", "100", "--distance", "100",
+                "--samples", "2000", "--cell", "20", *options]
+        assert main(argv) == 2
+        assert "within bound" not in capsys.readouterr().out

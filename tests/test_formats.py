@@ -74,14 +74,14 @@ class TestNetworkFiles:
 
     @pytest.mark.parametrize("row", [
         "L2,a,c,37.8,-122.3,37.801",
-        "L2,a,c,37.8,-122.3,37.801,-122.3,x,10.0,1,",
-        "L2,a,c,37.8,-122.3,37.801,-122.3,3,10.0,0,",
-    ], ids=["short-row", "bad-fc", "zero-lanes"])
+        "L2,a,c,37.8,-122.3,37.801,-122.3,x,10.0,",
+        "L2,a,c,37.8,-122.3,37.801,-122.3,3,0,",
+    ], ids=["short-row", "bad-fc", "zero-speed"])
     def test_bad_csv_row_reports_line(self, tmp_path, row):
         path = tmp_path / "net.csv"
         path.write_text(
             ",".join(formats.NETWORK_CSV_COLUMNS) + "\n"
-            "L1,a,b,37.8,-122.3,37.801,-122.3,3,10.0,1,\n" + row + "\n"
+            "L1,a,b,37.8,-122.3,37.801,-122.3,3,10.0,\n" + row + "\n"
         )
         with pytest.raises(InputFormatError) as err:
             formats.load_network_csv(path)
@@ -103,8 +103,7 @@ class TestNetworkFiles:
         with pytest.raises(InputFormatError, match="duplicate link id"):
             formats.load_network(path)
 
-    @pytest.mark.parametrize("props", [{"fc": 3.7}, {"lanes": 0}, {"lanes": 1.5}],
-                             ids=["fractional-fc", "zero-lanes", "fractional-lanes"])
+    @pytest.mark.parametrize("props", [{"fc": 3.7}, {"fc": 9}], ids=["fractional-fc", "fc-9"])
     def test_bad_feature_value_reports_feature(self, tmp_path, props):
         path = tmp_path / "bad.geojson"
         features = [

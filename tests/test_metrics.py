@@ -36,9 +36,9 @@ from conftest import grid3x3, make_network
 MILE = 1609.344
 
 
-def lt(links, device="d", day="2026-01-06", hour=13, speeds=None):
+def lt(links, device="d", day="2026-01-06", hour=13):
     return LinkTrajectory(device=device, day=date.fromisoformat(day), hour=hour,
-                          links=tuple(links), speeds=speeds)
+                          links=tuple(links))
 
 
 def line_network(lengths: dict[str, float], speed: float = 10.0):
@@ -123,12 +123,6 @@ class TestTimeMetrics:
         net = line_network({"a": 1000.0}, speed=10.0)
         assert vht([lt(["a"])], net) == pytest.approx(100.0 / 3600.0)
         assert vht([], net) == 0.0
-
-    def test_vht_uses_observed_speeds_when_complete(self):
-        net = line_network({"a": 1000.0, "b": 1000.0}, speed=10.0)
-        with_speeds = lt(["a", "b"], speeds=(5.0, 20.0))
-        expected = (1000.0 / 5.0 + 1000.0 / 20.0) / 3600.0
-        assert vht([with_speeds], net) == pytest.approx(expected)
 
     def test_vhd_zero_without_observations(self):
         net = line_network({"a": 1000.0}, speed=10.0)

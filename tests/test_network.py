@@ -50,21 +50,19 @@ def brute_force_nearest_node(net: RoadNetwork, p: GeoPoint, within: float) -> st
 class TestValidation:
     def test_unknown_endpoint(self):
         p = GeoPoint(0, 0)
-        link = Link("L", "a", "missing", (p, GeoPoint(0, 0.001)), 111.0, 4, 10.0)
+        link = Link("L", "a", "missing", (p, GeoPoint(0, 0.001)), 112.0, 4, 10.0)
         with pytest.raises(NetworkError):
             RoadNetwork({"a": p}, {"L": link})
 
     def test_length_shorter_than_geometry(self):
         a, b = GeoPoint(0, 0), GeoPoint(0, 0.01)  # ~1112 m apart
-        link = Link("L", "a", "b", (a, b), 500.0, 4, 10.0)
         with pytest.raises(NetworkError):
-            RoadNetwork({"a": a, "b": b}, {"L": link})
+            Link("L", "a", "b", (a, b), 500.0, 4, 10.0)
 
     def test_bad_functional_class(self):
         a, b = GeoPoint(0, 0), GeoPoint(0, 0.001)
-        link = Link("L", "a", "b", (a, b), 120.0, 6, 10.0)
         with pytest.raises(NetworkError):
-            RoadNetwork({"a": a, "b": b}, {"L": link})
+            Link("L", "a", "b", (a, b), 120.0, 6, 10.0)
 
     def test_adjacency_consistent(self):
         net = grid3x3()

@@ -249,3 +249,18 @@ class TestVerifier:
         x1 = displace(x0, 2000.0, 0.0)
         with pytest.raises(ValueError):
             verify_geo_indistinguishability(x0, x1, NoiseParams(1.0, 100.0), 1000, 20.0)
+
+    @pytest.mark.parametrize("cell_m", [0.0, -20.0, math.nan, math.inf])
+    def test_validates_cell_size(self, cell_m):
+        x0 = GeoPoint(37.8, -122.3)
+        with pytest.raises(ValueError, match="cell size"):
+            verify_geo_indistinguishability(x0, x0, NoiseParams(1.0, 100.0), 2000, cell_m)
+
+    def test_nothing_compared_is_an_error(self):
+        # 200 draws per point leave no 20 m cell with 50 samples from both.
+        x0 = GeoPoint(37.8, -122.3)
+        from dpmobility.geometry import displace
+
+        x1 = displace(x0, 1000.0, 0.0)
+        with pytest.raises(ValueError, match="nothing was compared"):
+            verify_geo_indistinguishability(x0, x1, NoiseParams(1.0, 100.0), 200, 20.0)

@@ -248,14 +248,15 @@ class TestPlannedNoise:
         corpus, _ = generate_trips(city20, cfg_trips)
         plan = plan_endpoints(corpus, city20, PrivacyConfig(global_seed=29))
         assert len(plan.fired) >= 20
-        for (_, end), fired in plan.fired.items():
+        for (i, end), fired in plan.fired.items():
+            link = plan.trips[i].links[0 if end == ORIGIN else -1]
             assert isinstance(fired.buffer, BufferResult)
             assert isinstance(fired.theta, float) and isinstance(fired.unit_radius, float)
             for epsilon in DEFAULT_EPSILONS:
                 expected = perturb(
                     fired.point,
                     NoiseParams(epsilon, fired.buffer.radius_m),
-                    SeedRule(29).generator(fired.link, end),
+                    SeedRule(29).generator(link, end),
                 )
                 got = fired.noisy_point(epsilon)
                 assert [x.hex() for x in got] == [x.hex() for x in expected]
@@ -282,7 +283,8 @@ class TestPlannedNoise:
         assert set(plan.trips) < set(full.trips)
         assert len(full.trips) - len(plan.trips) == sparse
         assert {i for i, _ in plan.fired} <= set(plan.trips)
-        assert plan.counts == full.counts and plan.repeated == full.repeated
+        assert plan.counts == full.counts
+        assert set(plan.fired) == {k for k in full.fired if k[0] in plan.trips}
         for epsilon in (0.05, 1.0, 15.0):
             _, report = privatize_trajectories(plan, city20, epsilon)
             assert report.excluded["sparse_network"] == sparse

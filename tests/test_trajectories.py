@@ -92,11 +92,6 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             LinkTrajectory(device="d", day=date(2026, 1, 6), hour=13, links=())
 
-    def test_link_trajectory_speed_alignment(self):
-        with pytest.raises(ValueError):
-            LinkTrajectory(device="d", day=date(2026, 1, 6), hour=13,
-                           links=("a", "b"), speeds=(1.0,))
-
 
 class TestLocalTime:
     def test_day_hour_at_offset(self):
