@@ -29,9 +29,12 @@ from .metrics import (
     vmt,
 )
 from .noise import NoiseParams, verify_geo_indistinguishability
-from .privatize import PrivacyConfig, match_corpus, privatize_aggregate
+from .privatize import PrivacyConfig, match_window, privatize_aggregate
 from .synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
-from .trajectories import DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H, Window, window_filter
+from .trajectories import DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H, Window
+# ``window_filter`` is not called here; it stays importable under this
+# module's name because bench/tracing.py wraps ``cli.window_filter``.
+from .trajectories import window_filter  # noqa: F401
 from . import formats
 
 EXIT_OK = 0
@@ -102,28 +105,14 @@ def _add_privacy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=PrivacyConfig.global_seed, help="global noise seed")
 
 
-def _load_windowed_corpus(args):
-    """(network, trips inside the window, window, matcher settings)."""
-    window = Window(_parse_hour_window(args.hour_window), _parse_days(args.days))
+def _load_inputs(args):
+    """(network, every trip in the file, window, matcher settings).  The
+    window is checked before any file is read."""
+    window = Window(_parse_hour_window(args.hour_window), _parse_days(args.days), args.utc_offset)
     match_cfg = MatchConfig(args.snap_radius, args.max_node_skip)
     net = formats.load_network(args.network)
     trips = formats.load_trips_csv(args.trips, gap_s=args.gap)
-    corpus = window_filter(trips, window.hours, window.days, args.utc_offset)
-    return net, corpus, window, match_cfg
-
-
-def _load_matched_corpus(args):
-    """(network, matched trips, unmatchable count, window), or None if empty."""
-    net, corpus, window, match_cfg = _load_windowed_corpus(args)
-    if not corpus:
-        print("no trips in the requested window", file=sys.stderr)
-        return None
-    matched, n_bad = match_corpus(corpus, net, match_cfg, args.utc_offset)
-    trips = [t for t in matched if t is not None]
-    if not trips:
-        print("no matchable trips in the requested window", file=sys.stderr)
-        return None
-    return net, trips, n_bad, window
+    return net, trips, window, match_cfg
 
 
 def _privacy_config(args) -> PrivacyConfig:
@@ -155,10 +144,9 @@ def _write_outputs(args, files: dict) -> Path:
 
 
 def cmd_privatize(args) -> int:
-    net, corpus, window, match_cfg = _load_windowed_corpus(args)
+    net, corpus, window, match_cfg = _load_inputs(args)
     agg, report = privatize_aggregate(
-        corpus, net, _privacy_config(args), args.epsilon, match_cfg, args.utc_offset,
-        window=window,
+        corpus, net, _privacy_config(args), args.epsilon, match_cfg, window
     )
     if not agg.counts:
         print("privatization left no trips in the window", file=sys.stderr)
@@ -177,18 +165,17 @@ def cmd_privatize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    net, corpus, window, match_cfg = _load_windowed_corpus(args)
+    net, corpus, window, match_cfg = _load_inputs(args)
     models = tuple(part.strip() for part in args.models.split(",") if part.strip())
     rows = compare(
         corpus, net, _privacy_config(args),
         epsilons=_parse_floats(args.epsilons),
         models=models,
         match_cfg=match_cfg,
-        utc_offset_hours=args.utc_offset,
         window=window,
     )
-    if not corpus:
-        print("no trips in the requested window", file=sys.stderr)
+    if all(row["trips_excluded"] == len(corpus) for row in rows):
+        print("no model released a trip of the requested window", file=sys.stderr)
         return EXIT_EMPTY_WINDOW
     out = _write_outputs(args, {"compare.csv": (formats.save_compare_csv, rows, COMPARE_COLUMNS)})
     print(f"wrote {len(rows)} rows -> {out / 'compare.csv'}")
@@ -196,11 +183,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    loaded = _load_matched_corpus(args)
-    if loaded is None:
+    net, corpus, window, match_cfg = _load_inputs(args)
+    trips, _ = match_window(corpus, net, match_cfg, window)
+    if not trips:
+        print("no matchable trips in the requested window", file=sys.stderr)
         return EXIT_EMPTY_WINDOW
-    net, trips, _, window = loaded
-    agg = aggregate(trips, window=window)
+    agg = aggregate(list(trips.values()), window=window)
     out = _write_outputs(args, {
         "aggregation.csv": (formats.save_aggregation_csv, agg, net),
         "overlay.geojson": (formats.save_overlay_geojson, agg, net),
@@ -210,14 +198,16 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    loaded = _load_matched_corpus(args)
-    if loaded is None:
+    net, corpus, window, match_cfg = _load_inputs(args)
+    matched, excluded = match_window(corpus, net, match_cfg, window)
+    if not matched:
+        print("no matchable trips in the requested window", file=sys.stderr)
         return EXIT_EMPTY_WINDOW
-    net, trips, n_bad, window = loaded
+    trips = list(matched.values())
     agg = aggregate(trips, window=window)
     _, histogram = intersection_density(agg, net)
     print(f"trips={len(trips)}")
-    print(f"trips_unmatchable={n_bad}")
+    print(f"trips_unmatchable={excluded.get('unmatchable', 0)}")
     print(f"active_links={len(agg.counts)}")
     print(f"network_length_mi={network_length(agg, net)!r}")
     print(f"vmt_mi={vmt(trips, net)!r}")
@@ -245,7 +235,6 @@ def cmd_synth_network(args) -> int:
 
 
 def cmd_synth_trips(args) -> int:
-    net = formats.load_network(args.network)
     cfg = SynthTripConfig(
         n_trips=args.n_trips,
         n_devices=args.n_devices,
@@ -258,6 +247,7 @@ def cmd_synth_trips(args) -> int:
         seed=args.seed,
         utc_offset_hours=args.utc_offset,
     )
+    net = formats.load_network(args.network)
     corpus, truth = generate_trips(net, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

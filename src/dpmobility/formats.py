@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -123,8 +123,9 @@ def parse_timestamp(text: str) -> float:
 
 
 def _whole(value) -> int:
-    """``value`` as an int; a fractional float is a ValueError, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; a boolean or a fractional float is a ValueError,
+    not converted."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
 
@@ -376,24 +377,16 @@ def load_report_csv(path: str | Path) -> PrivatizationReport:
 
 # -- ground-truth link corpora ----------------------------------------------
 
-TRUTH_COLUMNS = ("trip", "device", "day", "hour", "links")
+TRUTH_COLUMNS = ("trip", "device", "links")
 
 
 def save_link_corpus_csv(corpus: Sequence[LinkTrajectory], path: str | Path) -> None:
-    rows = [
-        (i, t.device, t.day.isoformat(), t.hour, "|".join(t.links))
-        for i, t in enumerate(corpus)
-    ]
+    rows = [(i, t.device, "|".join(t.links)) for i, t in enumerate(corpus)]
     _write_csv(path, TRUTH_COLUMNS, rows)
 
 
 def _link_trajectory(row: dict) -> LinkTrajectory:
-    return LinkTrajectory(
-        device=row["device"],
-        day=date.fromisoformat(row["day"]),
-        hour=int(row["hour"]),
-        links=tuple(row["links"].split("|")),
-    )
+    return LinkTrajectory(device=row["device"], links=tuple(row["links"].split("|")))
 
 
 def load_link_corpus_csv(path: str | Path) -> list[LinkTrajectory]:

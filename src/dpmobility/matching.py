@@ -8,18 +8,13 @@ by shortest paths, and consecutive duplicate links collapse.  Probabilistic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection
 
 from .errors import NoPathError, UnmatchableError
 from .geometry import GeoPoint, haversine_distance
 from .network import LinkId, NodeId, RoadNetwork
-from .trajectories import (
-    DEFAULT_UTC_OFFSET_H,
-    GpsTrajectory,
-    LinkTrajectory,
-    local_day_hour,
-)
+from .trajectories import GpsTrajectory, LinkTrajectory
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,6 @@ def match_trajectory(
     g: GpsTrajectory,
     net: RoadNetwork,
     cfg: MatchConfig = MatchConfig(),
-    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
 ) -> LinkTrajectory:
     """Convert a GPS trip into a connected link sequence.
 
@@ -84,9 +78,7 @@ def match_trajectory(
                 links.append(lid)
     if not links:
         raise UnmatchableError(f"device {g.device}: empty link sequence")
-
-    day, hour = local_day_hour(g.samples[0].t, utc_offset_hours)
-    return LinkTrajectory(device=g.device, day=day, hour=hour, links=tuple(links))
+    return LinkTrajectory(device=g.device, links=tuple(links))
 
 
 def match_noisy_endpoint(
@@ -150,9 +142,4 @@ def rebuild_trajectory(
         raise UnmatchableError(f"cannot reconnect perturbed trip ends: {e}") from e
     if not rebuilt:
         raise UnmatchableError("perturbed trip collapsed to an empty link sequence")
-    return LinkTrajectory(
-        device=original.device,
-        day=original.day,
-        hour=original.hour,
-        links=tuple(rebuilt),
-    )
+    return replace(original, links=tuple(rebuilt))

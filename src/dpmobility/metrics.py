@@ -21,7 +21,7 @@ from .privatize import (
     match_window,
     privatize_trajectories,
 )
-from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory, Window
+from .trajectories import GpsTrajectory, LinkTrajectory, Window
 
 METERS_PER_MILE = 1609.344
 
@@ -140,7 +140,6 @@ def compare(
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
     models: Sequence[str] = DEFAULT_MODELS,
     match_cfg: MatchConfig = MatchConfig(),
-    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
 ) -> list[dict]:
     """Run every requested model and emit one metrics row per run.
@@ -151,7 +150,9 @@ def compare(
     once per epsilon from one shared plan.  An empty or unknown model
     list, a bad epsilon, and no epsilons for the adaptive-noise model are
     rejected before any matching.  Rows are dictionaries keyed by
-    COMPARE_COLUMNS; ``epsilon`` is None for epsilon-independent models.
+    COMPARE_COLUMNS; ``epsilon`` is None for epsilon-independent models,
+    and ``trips_excluded`` counts every trip of ``gps_corpus`` that the row
+    does not release, those outside the window included.
     """
     if not models:
         raise ValueError("no models requested")
@@ -163,7 +164,7 @@ def compare(
     for eps in epsilons:
         validate_epsilon(eps)
 
-    raw_trips, left_out = match_window(gps_corpus, net, match_cfg, utc_offset_hours, window)
+    raw_trips, left_out = match_window(gps_corpus, net, match_cfg, window)
     raw_agg = aggregate(list(raw_trips.values()), window=window)
     raw_ods = {i: (t.links[0], t.links[-1]) for i, t in raw_trips.items()}
 

@@ -49,10 +49,10 @@ MAX_FUNCTIONAL_CLASS = 5
 class Link:
     """One directed road segment between two nodes.
 
-    A link checks itself: at least two valid geometry points, a positive
-    length no shorter than 0.999 times the geometry's chord sum, a
-    functional class in [1, 5] and a positive speed; anything else raises
-    :class:`NetworkError`.
+    A link checks itself: at least two valid geometry points, a finite
+    positive length no shorter than 0.999 times the geometry's chord sum, a
+    functional class in [1, 5] and a finite positive speed; anything else
+    raises :class:`NetworkError`.
     """
 
     id: LinkId
@@ -71,8 +71,9 @@ class Link:
                 validate_geopoint(p)
             except ValueError as e:
                 raise NetworkError(f"link {self.id!r}: {e}") from e
-        if not (self.length_m > 0.0):
-            raise NetworkError(f"link {self.id!r}: non-positive length {self.length_m}")
+        if not (0.0 < self.length_m < math.inf):
+            raise NetworkError(f"link {self.id!r}: length must be finite and positive: "
+                               f"{self.length_m}")
         chords = sum(haversine_distance(a, b) for a, b in zip(self.geometry, self.geometry[1:]))
         if self.length_m < 0.999 * chords:
             raise NetworkError(
@@ -84,8 +85,9 @@ class Link:
                 f"link {self.id!r}: functional class {self.functional_class} outside "
                 f"[{MIN_FUNCTIONAL_CLASS}, {MAX_FUNCTIONAL_CLASS}]"
             )
-        if not (self.speed_mps > 0.0):
-            raise NetworkError(f"link {self.id!r}: non-positive speed {self.speed_mps}")
+        if not (0.0 < self.speed_mps < math.inf):
+            raise NetworkError(f"link {self.id!r}: speed must be finite and positive: "
+                               f"{self.speed_mps}")
 
 
 class RoadNetwork:

@@ -12,12 +12,15 @@ Every run has two stages.  The plan (:func:`plan_endpoints`) holds
 everything that does not depend on epsilon: the matched trips inside the
 window, their link counts and repeated-OD flags, which ends fire, and each
 fired end's buffer radius, candidate set and noise uniforms (the angle and
-the radius at epsilon 1).  The window applies here, before matching and
+the radius at epsilon 1).  The plan takes the whole corpus, and the window
+(with its own UTC offset) applies here, once per trip, before matching and
 counting, so the rule above holds for exactly the population that is
 released; trips outside it are never matched and are excluded as
-``out_of_window``.  A trip with a fired end whose buffer reaches its cap
-before the density thresholds pass cannot be released at any epsilon, so
-the plan excludes it as ``sparse_network``.  The draw
+``out_of_window``.  The report therefore accounts for every trip of the
+corpus, and a decision's ``trip`` is the trip's position in it.  A trip
+with a fired end whose buffer reaches its cap before the density
+thresholds pass cannot be released at any epsilon, so the plan excludes
+it as ``sparse_network``.  The draw
 (:func:`privatize_trajectories`) takes nothing but a plan, the network and
 one epsilon; it scales each planned radius by 1/epsilon, snaps and
 re-routes, so an epsilon sweep builds one plan and draws from it once per
@@ -55,7 +58,7 @@ from .network import LinkId, RoadNetwork
 # name because bench/tracing.py wraps ``privatize.perturb``.
 from .noise import perturb  # noqa: F401
 from .noise import SeedRule, laplace_uniforms, scale_radius, unit_radius, validate_epsilon
-from .trajectories import DEFAULT_UTC_OFFSET_H, GpsTrajectory, LinkTrajectory, Window
+from .trajectories import GpsTrajectory, LinkTrajectory, Window
 
 ORIGIN = "origin"
 DESTINATION = "destination"
@@ -146,17 +149,19 @@ def match_corpus(
     gps_corpus: Sequence[GpsTrajectory],
     net: RoadNetwork,
     match_cfg: MatchConfig = MatchConfig(),
-    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
+    utc_offset_hours: float | None = None,
 ) -> tuple[list[LinkTrajectory | None], int]:
     """Match every trip in input order, keeping input positions;
     unmatchable trips become None.
 
     Returns (aligned list, number of unmatchable trips).
+    ``utc_offset_hours`` is ignored: a matched trip carries no time.  It is
+    kept only because bench/checks.py passes it positionally.
     """
 
     def one(g: GpsTrajectory) -> LinkTrajectory | None:
         try:
-            return match_trajectory(g, net, match_cfg, utc_offset_hours)
+            return match_trajectory(g, net, match_cfg)
         except UnmatchableError:
             return None
 
@@ -168,18 +173,17 @@ def match_window(
     gps_corpus: Sequence[GpsTrajectory],
     net: RoadNetwork,
     match_cfg: MatchConfig = MatchConfig(),
-    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
 ) -> tuple[dict[int, LinkTrajectory], dict[str, int]]:
     """Match the trips of ``gps_corpus`` inside ``window``.
 
     Returns the matched trips keyed by corpus position, plus how many trips
     were left out for each cause (``out_of_window``, ``unmatchable``).
-    Trips outside the window are never matched.
+    Each trip is tested against the window once; trips outside it are never
+    matched.
     """
-    kept = [i for i, g in enumerate(gps_corpus)
-            if window is None or window.contains(g, utc_offset_hours)]
-    found, _ = match_corpus([gps_corpus[i] for i in kept], net, match_cfg, utc_offset_hours)
+    kept = [i for i, g in enumerate(gps_corpus) if window is None or window.contains(g)]
+    found, _ = match_corpus([gps_corpus[i] for i in kept], net, match_cfg)
     trips = {i: t for i, t in zip(kept, found) if t is not None}
     excluded = {"out_of_window": len(gps_corpus) - len(kept), "unmatchable": len(kept) - len(trips)}
     return trips, {cause: n for cause, n in excluded.items() if n}
@@ -233,7 +237,6 @@ def plan_endpoints(
     net: RoadNetwork,
     cfg: PrivacyConfig,
     match_cfg: MatchConfig = MatchConfig(),
-    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
 ) -> EndpointPlan:
     """Window, match and count the corpus, and size the buffer and draw
@@ -241,7 +244,7 @@ def plan_endpoints(
 
     See :func:`match_window` for ``window``.
     """
-    trips, excluded = match_window(gps_corpus, net, match_cfg, utc_offset_hours, window)
+    trips, excluded = match_window(gps_corpus, net, match_cfg, window)
     return _plan(gps_corpus, net, cfg, trips, excluded)
 
 
@@ -381,13 +384,12 @@ def privatize_aggregate(
     cfg: PrivacyConfig,
     epsilon: float,
     match_cfg: MatchConfig = MatchConfig(),
-    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
     window: Window | None = None,
 ) -> tuple[AggregatedMobilityNetwork, PrivatizationReport]:
     """Privatize the trips of a corpus inside ``window`` at ``epsilon`` and
     aggregate them.  A bad ``epsilon`` is rejected before any matching."""
     validate_epsilon(epsilon)
-    plan = plan_endpoints(gps_corpus, net, cfg, match_cfg, utc_offset_hours, window)
+    plan = plan_endpoints(gps_corpus, net, cfg, match_cfg, window)
     out, report = privatize_trajectories(plan, net, epsilon)
     agg = aggregate(list(out.values()), window=window, source=SOURCE_DP_ANI)
     return agg, report

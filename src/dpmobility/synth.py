@@ -85,7 +85,7 @@ class SynthTripConfig:
             raise ValueError("repeat_fraction must lie in [0, 1]")
         if self.gps_interval_s <= 0.0:
             raise ValueError("gps interval must be positive")
-        Window(self.hour_window, frozenset())  # checks the hour range
+        Window(self.hour_window, frozenset(), self.utc_offset_hours)  # checks hours and offset
 
 
 def _node_id(r: int, c: int) -> NodeId:
@@ -276,12 +276,5 @@ def generate_trips(
                     point = displace(point, math.hypot(dx, dy), math.atan2(dy, dx))
                 samples.append(GpsSample(device=dev, t=round(t0 + tau, 3), point=point))
             gps_corpus.append(GpsTrajectory(device=dev, samples=tuple(samples)))
-            truth.append(
-                LinkTrajectory(
-                    device=dev,
-                    day=day,
-                    hour=int(starts[k] // 3600.0),
-                    links=tuple(route),
-                )
-            )
+            truth.append(LinkTrajectory(device=dev, links=tuple(route)))
     return gps_corpus, truth

@@ -1,4 +1,10 @@
-"""GPS sample streams, trip segmentation, and link trajectories."""
+"""GPS sample streams, trip segmentation, link trajectories, and the
+release window.
+
+:class:`Window` is the only place a trip meets the local clock: it reads
+the origin timestamp at its own UTC offset.  A matched
+:class:`LinkTrajectory` carries no time at all.
+"""
 
 from __future__ import annotations
 
@@ -60,22 +66,14 @@ class GpsTrajectory:
 
 @dataclass(frozen=True)
 class LinkTrajectory:
-    """Ordered, connected link sequence for one trip.
-
-    ``day`` and ``hour`` are the local calendar date and hour-of-day bin of
-    the trip origin.
-    """
+    """Ordered, connected link sequence for one trip."""
 
     device: str
-    day: date
-    hour: int
     links: tuple[LinkId, ...]
 
     def __post_init__(self):
         if len(self.links) < 1:
             raise ValueError("a link trajectory needs at least 1 link")
-        if not (0 <= self.hour <= 23):
-            raise ValueError(f"hour bin out of range: {self.hour}")
 
     def is_connected(self, net: RoadNetwork) -> bool:
         return all(
@@ -133,10 +131,14 @@ def weekday_label(d: date) -> str:
 @dataclass(frozen=True)
 class Window:
     """Half-open local hour range plus weekday labels; a GPS trip is inside
-    when its origin timestamp, read at a UTC offset, falls in both."""
+    when its origin timestamp, read at ``utc_offset_hours``, falls in both.
+
+    The offset must be finite and strictly inside (-24, 24) hours.
+    """
 
     hours: tuple[int, int]
     days: frozenset[str]
+    utc_offset_hours: float = DEFAULT_UTC_OFFSET_H
 
     def __post_init__(self):
         h0, h1 = self.hours
@@ -145,9 +147,12 @@ class Window:
         bad = set(self.days) - set(WEEKDAY_LABELS)
         if bad:
             raise ValueError(f"unknown weekday labels: {sorted(bad)}")
+        if not (-24.0 < self.utc_offset_hours < 24.0):
+            raise ValueError(f"UTC offset must lie strictly inside (-24, 24) h: "
+                             f"{self.utc_offset_hours}")
 
-    def contains(self, trip: GpsTrajectory, utc_offset_hours: float = DEFAULT_UTC_OFFSET_H) -> bool:
-        day, hour = local_day_hour(trip.samples[0].t, utc_offset_hours)
+    def contains(self, trip: GpsTrajectory) -> bool:
+        day, hour = local_day_hour(trip.samples[0].t, self.utc_offset_hours)
         return self.hours[0] <= hour < self.hours[1] and weekday_label(day) in self.days
 
     def label(self) -> str:
@@ -160,6 +165,7 @@ def window_filter(
     days: frozenset[str] | set[str],
     utc_offset_hours: float = DEFAULT_UTC_OFFSET_H,
 ) -> list[GpsTrajectory]:
-    """Keep the trips inside ``Window(hour_window, days)``.  Idempotent."""
-    window = Window(tuple(hour_window), frozenset(days))
-    return [g for g in corpus if window.contains(g, utc_offset_hours)]
+    """Keep the trips inside ``Window(hour_window, days, utc_offset_hours)``.
+    Idempotent."""
+    window = Window(tuple(hour_window), frozenset(days), utc_offset_hours)
+    return [g for g in corpus if window.contains(g)]

@@ -5,11 +5,11 @@ import sys
 import pytest
 
 from dpmobility import formats
-from dpmobility.cli import _load_windowed_corpus, _privacy_config, build_parser, main
+from dpmobility.cli import _load_inputs, _privacy_config, build_parser, main
 from dpmobility.matching import MatchConfig
 from dpmobility.metrics import COMPARE_COLUMNS
 from dpmobility.privatize import PrivacyConfig
-from dpmobility.trajectories import DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H
+from dpmobility.trajectories import DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H, Window
 
 from conftest import child_env
 
@@ -60,6 +60,13 @@ class TestSynthCommands:
         with pytest.raises(SystemExit) as exit_:
             main(["synth", "network", "--seed", "1", "--out", str(tmp_path / "n.geojson")])
         assert exit_.value.code == 2
+
+    def test_trips_infinite_utc_offset_exit_2(self, inputs, tmp_path):
+        _, net, _, _ = inputs
+        out = tmp_path / "t.csv"
+        assert main(["synth", "trips", "--network", str(net), "--dates", "2026-01-06",
+                     "--utc-offset", "inf", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_csv_network_output(self, inputs, tmp_path):
         out = tmp_path / "net.csv"
@@ -197,6 +204,9 @@ class TestPrivatizeCommand:
         ("--epsilon", "inf"),
         ("--hour-window", "14-13"),
         ("--days", "T,XX"),
+        ("--utc-offset", "inf"),
+        ("--utc-offset", "nan"),
+        ("--utc-offset", "24"),
     ])
     def test_malformed_option_exit_2(self, inputs, tmp_path, option):
         _, net, trips, _ = inputs
@@ -207,6 +217,28 @@ class TestPrivatizeCommand:
         ])
         assert code == 2
         assert not out.exists()
+
+    def test_out_of_window_rows_are_counted_not_released(self, inputs, tmp_path):
+        # The Tuesday window of a Tuesday/Wednesday file releases what a
+        # Tuesday-only file releases, and the report accounts for every trip.
+        _, net, trips, _ = inputs
+        corpus = formats.load_trips_csv(trips)
+        tuesdays = Window((13, 14), frozenset({"T"}))
+        inside = [g for g in corpus if tuesdays.contains(g)]
+        assert 0 < len(inside) < len(corpus)
+        tuesday_trips = tmp_path / "tuesday_trips.csv"
+        formats.save_trips_csv(inside, tuesday_trips)
+        for label, trip_file in (("all", trips), ("tuesday", tuesday_trips)):
+            assert main([
+                "privatize", "--network", str(net), "--trips", str(trip_file),
+                "--epsilon", "1", "--seed", "5", "--days", "T", "--out", str(tmp_path / label),
+            ]) == 0
+        name = "privatized_aggregation.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "tuesday" / name).read_bytes()
+        report = formats.load_report_csv(tmp_path / "all" / "privatization_report.csv")
+        assert report.trips_in == len(corpus)
+        assert report.excluded["out_of_window"] == len(corpus) - len(inside)
+        assert report.trips_in == report.trips_out + report.trips_excluded
 
 
 class TestCompareCommand:
@@ -283,6 +315,49 @@ class TestEmptyWindow:
         assert self.run(inputs, out, "compare") == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["aggregate", "metrics"])
+    def test_no_matched_trip_exit_3(self, inputs, tmp_path, command):
+        _, net, trips, _ = inputs
+        out = [] if command == "metrics" else ["--out", str(tmp_path / "x")]
+        assert main([command, "--network", str(net), "--trips", str(trips),
+                     "--days", "Sa", *out]) == 3
+        assert not (tmp_path / "x").exists()
+
+
+class TestOneWindowPass:
+    """Each command tests every trip of the file against the window once."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("privatize", ["--epsilon", "1"]),
+        ("compare", ["--epsilons", "1"]),
+        ("aggregate", []),
+        ("metrics", []),
+    ], ids=["privatize", "compare", "aggregate", "metrics"])
+    def test_one_contains_call_per_trip(self, inputs, tmp_path, monkeypatch, command, options):
+        _, net, trips, _ = inputs
+        calls = []
+        real = Window.contains
+
+        def counting(self, trip):
+            calls.append(trip)
+            return real(self, trip)
+
+        monkeypatch.setattr(Window, "contains", counting)
+        out = [] if command == "metrics" else ["--out", str(tmp_path / "x")]
+        assert main([command, "--network", str(net), "--trips", str(trips),
+                     "--days", "T,W", *options, *out]) == 0
+        assert len(calls) == len(formats.load_trips_csv(trips))
+
+    @pytest.mark.parametrize("command", ["privatize", "compare", "aggregate", "metrics"])
+    def test_bad_utc_offset_rejected_before_reading(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.csv"
+        out = [] if command == "metrics" else ["--out", str(tmp_path / "x")]
+        epsilon = ["--epsilon", "1"] if command == "privatize" else []
+        assert main([command, "--network", str(missing), "--trips", str(missing),
+                     "--utc-offset", "inf", *epsilon, *out]) == 2
+        assert "UTC offset" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestAggregateAndMetrics:
     def test_aggregate_outputs(self, inputs, tmp_path):
@@ -319,7 +394,7 @@ class TestOptionDefaults:
         ])
         assert _privacy_config(args) == PrivacyConfig()
         assert (args.gap, args.utc_offset) == (DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H)
-        *_, match_cfg = _load_windowed_corpus(args)
+        *_, match_cfg = _load_inputs(args)
         assert match_cfg == MatchConfig()
 
     @pytest.mark.parametrize("command", [

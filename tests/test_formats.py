@@ -1,4 +1,5 @@
 import json
+import math
 from datetime import date
 
 import pytest
@@ -76,7 +77,9 @@ class TestNetworkFiles:
         "L2,a,c,37.8,-122.3,37.801",
         "L2,a,c,37.8,-122.3,37.801,-122.3,x,10.0,",
         "L2,a,c,37.8,-122.3,37.801,-122.3,3,0,",
-    ], ids=["short-row", "bad-fc", "zero-speed"])
+        "L2,a,c,37.8,-122.3,37.801,-122.3,3,inf,",
+        "L2,a,c,37.8,-122.3,37.801,-122.3,3,10.0,inf",
+    ], ids=["short-row", "bad-fc", "zero-speed", "inf-speed", "inf-length"])
     def test_bad_csv_row_reports_line(self, tmp_path, row):
         path = tmp_path / "net.csv"
         path.write_text(
@@ -103,7 +106,9 @@ class TestNetworkFiles:
         with pytest.raises(InputFormatError, match="duplicate link id"):
             formats.load_network(path)
 
-    @pytest.mark.parametrize("props", [{"fc": 3.7}, {"fc": 9}], ids=["fractional-fc", "fc-9"])
+    @pytest.mark.parametrize("props", [
+        {"fc": 3.7}, {"fc": 9}, {"fc": True}, {"speed_mps": math.inf}, {"length_m": math.inf},
+    ], ids=["fractional-fc", "fc-9", "fc-true", "inf-speed", "inf-length"])
     def test_bad_feature_value_reports_feature(self, tmp_path, props):
         path = tmp_path / "bad.geojson"
         features = [
@@ -116,7 +121,9 @@ class TestNetworkFiles:
             }
             for lid, extra in (("L1", {}), ("L2", props))
         ]
-        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        text = json.dumps({"type": "FeatureCollection", "features": features})
+        assert ("Infinity" in text) == (math.inf in props.values())
+        path.write_text(text)
         with pytest.raises(InputFormatError) as err:
             formats.load_network_geojson(path)
         assert err.value.path == f"{path} (feature 1)"
@@ -219,7 +226,7 @@ class TestAggregationAndReportFiles:
         formats.save_link_corpus_csv(truth, path)
         loaded = formats.load_link_corpus_csv(path)
         assert [t.links for t in loaded] == [t.links for t in truth]
-        assert [t.day for t in loaded] == [t.day for t in truth]
+        assert loaded == truth
 
 
 class TestManifest:

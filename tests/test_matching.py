@@ -26,8 +26,7 @@ class TestMatchTrajectory:
         trip = trip_through_nodes(net, ["a", "b", "c"], "2026-01-06")
         lt = match_trajectory(trip, net)
         assert lt.links == ("f0", "f1")
-        assert lt.day == date(2026, 1, 6)
-        assert lt.hour == 13
+        assert lt.device == trip.device
         assert lt.is_connected(net)
 
     def test_skipped_interior_node_filled_by_shortest_path(self):
@@ -141,7 +140,7 @@ class TestMatchNoisyEndpoint:
 
 class TestRebuildTrajectory:
     def make_lt(self, links):
-        return LinkTrajectory(device="d", day=date(2026, 1, 6), hour=13, links=tuple(links))
+        return LinkTrajectory(device="d", links=tuple(links))
 
     def test_unchanged_returns_original(self):
         net = path_network()

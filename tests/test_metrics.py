@@ -36,9 +36,8 @@ from conftest import grid3x3, make_network
 MILE = 1609.344
 
 
-def lt(links, device="d", day="2026-01-06", hour=13):
-    return LinkTrajectory(device=device, day=date.fromisoformat(day), hour=hour,
-                          links=tuple(links))
+def lt(links, device="d"):
+    return LinkTrajectory(device=device, links=tuple(links))
 
 
 def line_network(lengths: dict[str, float], speed: float = 10.0):
@@ -70,9 +69,9 @@ class TestAggregate:
         # trip it is given and records the window.
         window = Window((13, 14), frozenset({"T"}))
         trips = [
-            lt(["a"], day="2026-01-06", hour=13),
-            lt(["b"], day="2026-01-06", hour=12),
-            lt(["c"], day="2026-01-07", hour=13),
+            lt(["a"]),
+            lt(["b"]),
+            lt(["c"]),
         ]
         agg = aggregate(trips, window=window)
         assert agg.counts == {"a": 1, "b": 1, "c": 1}

@@ -31,9 +31,8 @@ from conftest import local_epoch, trip_along_route
 DAYS = ("2026-01-06", "2026-01-07", "2026-01-08", "2026-01-13", "2026-01-14", "2026-01-15")
 
 
-def lt(links, device="d", day="2026-01-06", hour=13):
-    return LinkTrajectory(device=device, day=date.fromisoformat(day), hour=hour,
-                          links=tuple(links))
+def lt(links, device="d"):
+    return LinkTrajectory(device=device, links=tuple(links))
 
 
 def draw(corpus, net, cfg, epsilon):
@@ -70,8 +69,8 @@ class TestDetectRepeated:
 
     def test_same_device_same_od_two_days(self):
         corpus = [
-            lt(["a", "b"], device="d1", day="2026-01-06"),
-            lt(["a", "b"], device="d1", day="2026-01-07"),
+            lt(["a", "b"], device="d1"),
+            lt(["a", "b"], device="d1"),
         ]
         assert detect_repeated_od(corpus) == {0, 1}
 

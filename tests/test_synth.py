@@ -13,6 +13,7 @@ from dpmobility.synth import (
     generate_city,
     generate_trips,
 )
+from dpmobility.trajectories import local_day_hour
 
 DAY = date(2026, 1, 6)
 TWO_DAYS = (date(2026, 1, 6), date(2026, 1, 7))
@@ -72,8 +73,9 @@ class TestGenerateTrips:
         cfg = SynthTripConfig(n_trips=25, n_devices=10, days=TWO_DAYS, seed=32)
         gps, truth = generate_trips(city20, cfg)
         assert len(gps) == len(truth) == 50
-        assert {t.day for t in truth} == set(TWO_DAYS)
-        assert all(t.hour == 13 for t in truth)
+        origins = [local_day_hour(g.samples[0].t) for g in gps]
+        assert {day for day, _ in origins} == set(TWO_DAYS)
+        assert all(hour == 13 for _, hour in origins)
 
     def test_ground_truth_connected(self, city20):
         cfg = SynthTripConfig(n_trips=20, n_devices=10, days=(DAY,), seed=33)
@@ -103,8 +105,6 @@ class TestGenerateTrips:
         assert len(singles) > 0
 
     def test_origin_timestamps_inside_window(self, city20):
-        from dpmobility.trajectories import local_day_hour
-
         cfg = SynthTripConfig(n_trips=40, n_devices=10, days=(DAY,),
                               hour_window=(13, 14), seed=37)
         gps, _ = generate_trips(city20, cfg)

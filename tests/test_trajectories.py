@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from dataclasses import fields
 from datetime import date
 
 import pytest
@@ -9,6 +11,7 @@ from dpmobility.trajectories import (
     GpsSample,
     GpsTrajectory,
     LinkTrajectory,
+    Window,
     local_day_hour,
     split_trips,
     weekday_label,
@@ -90,7 +93,10 @@ class TestTrajectoryInvariants:
 
     def test_link_trajectory_needs_links(self):
         with pytest.raises(ValueError):
-            LinkTrajectory(device="d", day=date(2026, 1, 6), hour=13, links=())
+            LinkTrajectory(device="d", links=())
+
+    def test_link_trajectory_carries_no_time(self):
+        assert [f.name for f in fields(LinkTrajectory)] == ["device", "links"]
 
 
 class TestLocalTime:
@@ -146,3 +152,16 @@ class TestWindowFilter:
     def test_rejects_bad_hours(self, hours):
         with pytest.raises(ValueError):
             window_filter([], hours, {"T"})
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan, 24.0, -24.0])
+    def test_rejects_bad_utc_offset(self, offset):
+        with pytest.raises(ValueError, match="UTC offset"):
+            Window((13, 14), frozenset({"T"}), offset)
+
+    def test_offset_moves_the_local_clock(self):
+        # 13:30 at -8 h is 14:30 at -7 h and 12:30 at -9 h.
+        trip = self.corpus()[0]
+        assert Window((13, 14), frozenset({"T"})).contains(trip)
+        assert Window((14, 15), frozenset({"T"}), -7.0).contains(trip)
+        assert not Window((13, 14), frozenset({"T"}), -7.0).contains(trip)
+        assert Window((12, 13), frozenset({"T"}), -9.0).contains(trip)
