@@ -4,12 +4,18 @@ This is a deliberately simple nearest-node matcher: every sample snaps to
 the closest node within a snap radius, consecutive snapped nodes are joined
 by shortest paths, and consecutive duplicate links collapse.  Probabilistic
 (HMM) matching is out of scope.
+
+Snapping and path building are separate steps.  Samples snap through
+:meth:`RoadNetwork.nearest_nodes`, whose array passes pay off over many
+points, so ``privatize.match_corpus`` snaps a whole corpus in one call;
+:func:`match_snapped` then builds one trip's links from its slice of the
+snapped nodes.  :func:`match_trajectory` is both steps for one trip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Collection
+from typing import Collection, Sequence
 
 from .errors import NoPathError, UnmatchableError
 from .geometry import GeoPoint, haversine_distance
@@ -41,21 +47,34 @@ def match_trajectory(
     net: RoadNetwork,
     cfg: MatchConfig = MatchConfig(),
 ) -> LinkTrajectory:
-    """Convert a GPS trip into a connected link sequence.
+    """Convert a GPS trip into a connected link sequence: snap its samples,
+    then :func:`match_snapped`."""
+    nodes = net.nearest_nodes([s.point for s in g.samples], cfg.snap_radius_m)
+    return match_snapped(g.device, nodes, net, cfg)
 
-    Raises :class:`UnmatchableError` when fewer than two samples snap, when
-    too many consecutive samples miss, or when some leg has no path.
+
+def match_snapped(
+    device: str,
+    nodes: Sequence[NodeId | None],
+    net: RoadNetwork,
+    cfg: MatchConfig = MatchConfig(),
+) -> LinkTrajectory:
+    """Connected link sequence of one trip from its samples' snapped nodes,
+    in sample order (``None`` where no node lies within the snap radius).
+
+    Raises :class:`UnmatchableError` when too many consecutive samples miss,
+    when fewer than two samples snap or all snap onto one node, or when
+    some leg has no path.
     """
     node_seq: list[NodeId] = []
     snapped = 0
     misses = 0
-    for s in g.samples:
-        node = net.nearest_node(s.point, within=cfg.snap_radius_m)
+    for node in nodes:
         if node is None:
             misses += 1
             if misses > cfg.max_node_skip:
                 raise UnmatchableError(
-                    f"device {g.device}: {misses} consecutive samples off-network"
+                    f"device {device}: {misses} consecutive samples off-network"
                 )
             continue
         misses = 0
@@ -63,22 +82,20 @@ def match_trajectory(
         if not node_seq or node_seq[-1] != node:
             node_seq.append(node)
     if snapped < 2:
-        raise UnmatchableError(f"device {g.device}: fewer than 2 snappable samples")
+        raise UnmatchableError(f"device {device}: fewer than 2 snappable samples")
     if len(node_seq) < 2:
-        raise UnmatchableError(f"device {g.device}: trip collapses onto a single node")
+        raise UnmatchableError(f"device {device}: trip collapses onto a single node")
 
     links: list[LinkId] = []
     for a, b in zip(node_seq, node_seq[1:]):
         try:
             leg = net.shortest_path(a, b)
         except NoPathError as e:
-            raise UnmatchableError(f"device {g.device}: no path {a} -> {b}") from e
+            raise UnmatchableError(f"device {device}: no path {a} -> {b}") from e
         for lid in leg:
             if not links or links[-1] != lid:
                 links.append(lid)
-    if not links:
-        raise UnmatchableError(f"device {g.device}: empty link sequence")
-    return LinkTrajectory(device=g.device, links=tuple(links))
+    return LinkTrajectory(device=device, links=tuple(links))
 
 
 def match_noisy_endpoint(

@@ -10,14 +10,25 @@ and re-filters that candidate set with the exact distance.  The index
 therefore only affects speed, never results.  For the same reason each
 node pair's shortest path is searched once per network and then served
 from a memo.
+
+Snapping many points at once (``RoadNetwork.nearest_nodes``, which the
+matcher calls once per corpus) reads the node grid as arrays: node
+coordinates in the index frame, and node positions sorted by cell.  Each
+point's box has the same half-extents as a single query's, and only the
+nodes inside it reach the exact great-circle distance and the
+``(distance, id)`` tie-break, so the batch returns exactly what
+``nearest_node`` returns for each point.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Sequence
+
+import numpy as np
 
 from .errors import NetworkError, NoCandidateError, NoPathError
 from .geometry import (
@@ -27,6 +38,7 @@ from .geometry import (
     haversine_distance,
     point_to_segment,
     project,
+    project_batch,
     validate_geopoint,
 )
 
@@ -34,6 +46,11 @@ NodeId = str
 LinkId = str
 
 GRID_CELL_M = 100.0
+
+# Points per array pass of ``RoadNetwork.nearest_nodes``.  Large enough that
+# numpy's per-call cost vanishes per point, small enough that the pass's
+# temporaries stay far below the size of the corpus being snapped.
+SNAP_BATCH = 1024
 
 # Slack added to both half-extents of a query box.  It absorbs the rounding
 # of index coordinates and of the exact distances, which stays far below a
@@ -167,9 +184,15 @@ class RoadNetwork:
                 cells_max[0] = max(cells_max[0], c[0])
                 cells_max[1] = max(cells_max[1], c[1])
 
-        for nid in sorted(self.nodes):
-            c = cell(*self._index_xy(self.nodes[nid]))
+        self._node_ids: list[NodeId] = sorted(self.nodes)
+        node_xy: list[tuple[float, float]] = []
+        node_cells: list[tuple[int, int]] = []
+        for nid in self._node_ids:
+            xy = self._index_xy(self.nodes[nid])
+            c = cell(*xy)
             self._node_grid.setdefault(c, []).append(nid)
+            node_xy.append(xy)
+            node_cells.append(c)
             cells_min[0] = min(cells_min[0], c[0])
             cells_min[1] = min(cells_min[1], c[1])
             cells_max[0] = max(cells_max[0], c[0])
@@ -177,6 +200,20 @@ class RoadNetwork:
 
         self._cells_min = (int(cells_min[0]), int(cells_min[1]))
         self._cells_max = (int(cells_max[0]), int(cells_max[1]))
+
+        # The node grid as arrays for nearest_nodes: index-frame coordinates
+        # by position in ``_node_ids``, and those positions sorted by cell
+        # key (column-major within the grid box, see ``_cell_key``), so the
+        # nodes of one column's cells between two rows form one run.
+        self._node_x, self._node_y = np.array(node_xy, dtype=float).T
+        keys = self._cell_key(*np.array(node_cells, dtype=np.int64).T)
+        self._node_order = np.argsort(keys, kind="stable")
+        self._node_keys = keys[self._node_order]
+
+    def _cell_key(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """Column-major position of cells inside the grid box."""
+        rows = self._cells_max[1] - self._cells_min[1] + 1
+        return (ix - self._cells_min[0]) * rows + (iy - self._cells_min[1])
 
     # -- spatial queries ------------------------------------------------
 
@@ -193,7 +230,7 @@ class RoadNetwork:
         * North-south: haversine is at least ``R*|dphi|``, and the centre's
           planar frame keeps ``R*dphi`` exactly, so the half-height is
           ``radius``.
-        * East-west, haversine (``nearest_node``): ``hav(d/R) >=
+        * East-west, haversine (``nearest_node(s)``): ``hav(d/R) >=
           cos(phic)*cos(phin)*hav(dlam)``, and ``|phin| <= |phic| + d/R``,
           so with ``m = cos(|phic| + radius/R)``,
           ``|dlam| <= 2*asin(radius/(2*R*m))``.  This is the planar bound
@@ -205,20 +242,16 @@ class RoadNetwork:
           of (lat, lon) per axis, so a segment stays a segment and that
           closest point lies in the index cells registered for it.
 
-        The half-width is ``R*cos(phi0)`` times the haversine ``|dlam|``
-        bound; both half-extents get ``BOX_MARGIN_M`` for rounding.  Where
-        the bound cannot be kept (the disc reaches a pole, or the
-        longitude range reaches the antimeridian, across which haversine
-        wraps and the index frame does not) the box is the whole grid.
+        The half-width (:meth:`_half_width`) is ``R*cos(phi0)`` times the
+        haversine ``|dlam|`` bound; both half-extents get ``BOX_MARGIN_M``
+        for rounding.  Where the bound cannot be kept (the disc reaches a
+        pole, or the longitude range reaches the antimeridian, across which
+        haversine wraps and the index frame does not) the box is the whole
+        grid.
         """
-        lat_reach = abs(math.radians(center.lat)) + radius / EARTH_RADIUS_M
-        s = math.inf
-        if lat_reach < 0.5 * math.pi:
-            s = radius / (2.0 * EARTH_RADIUS_M * math.cos(lat_reach))
-        dlam = 2.0 * math.asin(s) if s < 1.0 else math.inf
-        if not abs(math.radians(center.lon)) + dlam < math.pi:
+        half_w = self._half_width(center, radius)
+        if half_w == math.inf:
             return self._cells_min, self._cells_max
-        half_w = EARTH_RADIUS_M * math.cos(math.radians(self._anchor.lat)) * dlam + BOX_MARGIN_M
         half_h = radius + BOX_MARGIN_M
         x, y = self._index_xy(center)
         ix0 = max(math.floor((x - half_w) / GRID_CELL_M), self._cells_min[0])
@@ -226,6 +259,19 @@ class RoadNetwork:
         ix1 = min(math.floor((x + half_w) / GRID_CELL_M), self._cells_max[0])
         iy1 = min(math.floor((y + half_h) / GRID_CELL_M), self._cells_max[1])
         return (ix0, iy0), (ix1, iy1)
+
+    def _half_width(self, center: GeoPoint, radius: float) -> float:
+        """East-west half-extent of the query box around ``center``, in index
+        metres, margin included; ``math.inf`` where no bound can be kept.
+        See :meth:`_cells_in_range` for the bound."""
+        lat_reach = abs(math.radians(center.lat)) + radius / EARTH_RADIUS_M
+        s = math.inf
+        if lat_reach < 0.5 * math.pi:
+            s = radius / (2.0 * EARTH_RADIUS_M * math.cos(lat_reach))
+        dlam = 2.0 * math.asin(s) if s < 1.0 else math.inf
+        if not abs(math.radians(center.lon)) + dlam < math.pi:
+            return math.inf
+        return EARTH_RADIUS_M * math.cos(math.radians(self._anchor.lat)) * dlam + BOX_MARGIN_M
 
     def _links_in_cells(
         self, box: tuple[tuple[int, int], tuple[int, int]]
@@ -276,6 +322,60 @@ class RoadNetwork:
                         best = (d, nid)
         return best[1] if best else None
 
+    def nearest_nodes(self, points: Sequence[GeoPoint], within: float) -> list[NodeId | None]:
+        """:meth:`nearest_node` of every point, in array passes of up to
+        ``SNAP_BATCH`` points.
+
+        Equal to ``[self.nearest_node(p, within) for p in points]``.  Each
+        point's box has the half-extents :meth:`_cells_in_range` gives it,
+        and only the nodes inside the box get the exact distance, the
+        ``within`` test and the ``(distance, id)`` tie-break.  A point whose
+        box has no bound (pole, antimeridian) goes to :meth:`nearest_node`,
+        which searches the whole grid.
+        """
+        found: list[NodeId | None] = []
+        for start in range(0, len(points), SNAP_BATCH):
+            found += self._snap_batch(points[start:start + SNAP_BATCH], within)
+        return found
+
+    def _snap_batch(self, points: Sequence[GeoPoint], within: float) -> list[NodeId | None]:
+        half_w = np.array([self._half_width(p, within) for p in points], dtype=float)
+        bounded = half_w < math.inf
+        rows = np.flatnonzero(bounded)
+        coords = np.fromiter(itertools.chain.from_iterable(points), float, 2 * len(points))
+        lat, lon = coords.reshape(-1, 2)[rows].T
+        x, y = project_batch(lat, lon, self._anchor)
+        half_w = half_w[rows]
+        half_h = within + BOX_MARGIN_M
+
+        def cell_span(centre: np.ndarray, half, axis: int) -> tuple[np.ndarray, np.ndarray]:
+            first = np.maximum(np.floor((centre - half) / GRID_CELL_M), self._cells_min[axis])
+            last = np.minimum(np.floor((centre + half) / GRID_CELL_M), self._cells_max[axis])
+            return first.astype(np.int64), last.astype(np.int64)
+
+        (ix0, ix1), (iy0, iy1) = cell_span(x, half_w, 0), cell_span(y, half_h, 1)
+        # One run of node positions per (row, box column): the column's
+        # cells from iy0 to iy1 have consecutive keys.
+        columns = np.where(iy1 >= iy0, np.maximum(ix1 - ix0 + 1, 0), 0)
+        col_row, ix = _ranges(ix0, columns)
+        lo = np.searchsorted(self._node_keys, self._cell_key(ix, iy0[col_row]), "left")
+        hi = np.searchsorted(self._node_keys, self._cell_key(ix, iy1[col_row]), "right")
+        run, at = _ranges(lo, hi - lo)
+        row, node = col_row[run], self._node_order[at]
+        inside = (np.abs(self._node_x[node] - x[row]) <= half_w[row]) & \
+            (np.abs(self._node_y[node] - y[row]) <= half_h)
+
+        best: list[tuple[float, NodeId] | None] = [None] * len(points)
+        for i, k in zip(rows[row[inside]].tolist(), node[inside].tolist()):
+            nid = self._node_ids[k]
+            d = haversine_distance(points[i], self.nodes[nid])
+            if d <= within and (best[i] is None or (d, nid) < best[i]):
+                best[i] = (d, nid)
+        found = [b[1] if b else None for b in best]
+        for i in np.flatnonzero(~bounded).tolist():
+            found[i] = self.nearest_node(points[i], within)
+        return found
+
     # -- routing ----------------------------------------------------------
 
     def shortest_path(self, from_node: NodeId, to_node: NodeId) -> list[LinkId]:
@@ -319,6 +419,14 @@ class RoadNetwork:
 
     def path_length_m(self, links: list[LinkId] | tuple[LinkId, ...]) -> float:
         return sum(self.links[lid].length_m for lid in links)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``range(starts[i], starts[i] + counts[i])`` for every
+    ``i`` in turn, and the ``i`` each value comes from."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) + (starts - first)[owner]
 
 
 class RadiusScan:

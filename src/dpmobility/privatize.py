@@ -51,7 +51,10 @@ from .adaptive import (
 )
 from .aggregate import AggregatedMobilityNetwork, aggregate, compute_link_counts
 from .errors import DisplacementRangeError, SparseNetworkError, UnmatchableError
-from .matching import MatchConfig, match_noisy_endpoint, match_trajectory, rebuild_trajectory
+from .matching import MatchConfig, match_noisy_endpoint, match_snapped, rebuild_trajectory
+# ``match_trajectory`` is not called here; it stays importable under this
+# module's name because bench/tracing.py wraps ``privatize.match_trajectory``.
+from .matching import match_trajectory  # noqa: F401
 from .geometry import GeoPoint, displace
 from .network import LinkId, RoadNetwork
 # ``perturb`` is not called here; it stays importable under this module's
@@ -154,19 +157,27 @@ def match_corpus(
     """Match every trip in input order, keeping input positions;
     unmatchable trips become None.
 
+    Every sample of the corpus snaps in one
+    :meth:`RoadNetwork.nearest_nodes` call; each trip's links are then built
+    from its slice of the result by :func:`match_snapped`, so a trip matches
+    exactly as :func:`match_trajectory` matches it alone.
+
     Returns (aligned list, number of unmatchable trips).
     ``utc_offset_hours`` is ignored: a matched trip carries no time.  It is
     kept only because bench/checks.py passes it positionally.
     """
-
-    def one(g: GpsTrajectory) -> LinkTrajectory | None:
+    nodes = net.nearest_nodes(
+        [s.point for g in gps_corpus for s in g.samples], match_cfg.snap_radius_m
+    )
+    matched: list[LinkTrajectory | None] = []
+    end = 0
+    for g in gps_corpus:
+        start, end = end, end + len(g.samples)
         try:
-            return match_trajectory(g, net, match_cfg)
+            matched.append(match_snapped(g.device, nodes[start:end], net, match_cfg))
         except UnmatchableError:
-            return None
-
-    matched = [one(g) for g in gps_corpus]
-    return matched, sum(1 for m in matched if m is None)
+            matched.append(None)
+    return matched, matched.count(None)
 
 
 def match_window(

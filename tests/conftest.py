@@ -93,13 +93,13 @@ def city20() -> RoadNetwork:
 
 @pytest.fixture
 def match_calls(monkeypatch) -> list[GpsTrajectory]:
-    """The GPS trips passed to ``match_trajectory`` during the test, in call order."""
+    """The GPS trips passed to ``match_corpus`` during the test, in call order."""
     calls: list[GpsTrajectory] = []
-    real = privatize_module.match_trajectory
+    real = privatize_module.match_corpus
 
-    def counting(g, *args, **kwargs):
-        calls.append(g)
-        return real(g, *args, **kwargs)
+    def counting(gps_corpus, *args, **kwargs):
+        calls.extend(gps_corpus)
+        return real(gps_corpus, *args, **kwargs)
 
-    monkeypatch.setattr(privatize_module, "match_trajectory", counting)
+    monkeypatch.setattr(privatize_module, "match_corpus", counting)
     return calls

@@ -4,6 +4,7 @@ import pytest
 
 from dpmobility.errors import NoCandidateError, UnmatchableError
 from dpmobility.matching import MatchConfig, match_noisy_endpoint, match_trajectory, rebuild_trajectory
+from dpmobility.privatize import match_corpus
 from dpmobility.synth import SynthTripConfig, generate_trips
 from dpmobility.trajectories import GpsSample, GpsTrajectory, LinkTrajectory
 
@@ -109,6 +110,71 @@ class TestMatchTrajectory:
         corpus, truth = generate_trips(city20, cfg)
         for g, t in zip(corpus, truth):
             assert match_trajectory(g, city20).links == t.links
+
+
+def trip_through_points(points, device: str) -> GpsTrajectory:
+    t0 = local_epoch("2026-01-06")
+    return GpsTrajectory(
+        device=device,
+        samples=tuple(GpsSample(device=device, t=t0 + 10 * i, point=p)
+                      for i, p in enumerate(points)),
+    )
+
+
+def match_each(corpus, net, cfg=MatchConfig()):
+    """The per-trip oracle for ``match_corpus``."""
+    out = []
+    for g in corpus:
+        try:
+            out.append(match_trajectory(g, net, cfg))
+        except UnmatchableError:
+            out.append(None)
+    return out
+
+
+class TestMatchCorpus:
+    """One snapping pass over the whole corpus matches each trip exactly as
+    ``match_trajectory`` does alone, failures included."""
+
+    def test_mixed_corpus_equals_per_trip_matching(self):
+        # path_network plus a one-way link e -> f away from it.
+        nodes = {"a": (0, 0), "b": (100, 0), "c": (200, 0), "d": (300, 0),
+                 "e": (0, 400), "f": (100, 400)}
+        edges = [("g0", "e", "f")]
+        for i, (u, v) in enumerate((("a", "b"), ("b", "c"), ("c", "d"))):
+            edges += [(f"f{i}", u, v), (f"r{i}", v, u)]
+        net = make_network(nodes, edges)
+        at = net.nodes
+        off = offset_point(BASE, 150.0, 200.0)
+        corpus = [
+            trip_through_points([at["a"], at["b"], at["c"]], "good-1"),
+            trip_through_points([at["a"]] + [off] * 4 + [at["c"]], "off-network-run"),
+            trip_through_points([at["d"], off, at["b"]], "good-2"),
+            trip_through_points([at["b"]] * 3, "single-node"),
+            trip_through_points([at["f"], at["e"]], "no-path"),
+            trip_through_points([at["a"], off, off], "one-snap"),
+            trip_through_points([at["e"], at["f"], off, off, off], "good-3"),
+        ]
+        matched, unmatchable = match_corpus(corpus, net)
+        assert matched == match_each(corpus, net)
+        assert [m is not None for m in matched] == [True, False, True, False, False, False, True]
+        assert unmatchable == 4
+        assert matched[2].links == ("r2", "r1")
+
+    def test_generated_corpus_equals_per_trip_matching(self, city20):
+        cfg = SynthTripConfig(n_trips=80, n_devices=40, days=(date(2026, 1, 6),),
+                              gps_interval_s=5.0, jitter_sigma_m=20.0, seed=14)
+        corpus, _ = generate_trips(city20, cfg)
+        # A snap radius under the jitter leaves about half the trips unmatchable.
+        cfg = MatchConfig(snap_radius_m=30.0)
+        matched, unmatchable = match_corpus(corpus, city20, cfg)
+        expected = match_each(corpus, city20, cfg)
+        assert matched == expected
+        assert unmatchable == expected.count(None)
+        assert 0 < unmatchable < len(corpus)
+
+    def test_empty_corpus(self, city20):
+        assert match_corpus([], city20) == ([], 0)
 
 
 class TestMatchNoisyEndpoint:

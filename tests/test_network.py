@@ -5,6 +5,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dpmobility.network as network_module
 from dpmobility.adaptive import DEFAULT_MAX_BUFFER_M, select_radius
@@ -45,6 +47,27 @@ def random_network(rng: np.random.Generator, n_nodes: int, base: GeoPoint,
 def brute_force_nearest_node(net: RoadNetwork, p: GeoPoint, within: float) -> str | None:
     best = min((haversine_distance(p, q), nid) for nid, q in net.nodes.items())
     return best[1] if best[0] <= within else None
+
+
+def with_tie_and_dup(nodes: dict[str, GeoPoint], base: GeoPoint,
+                     dup_of: str) -> tuple[GeoPoint, float]:
+    """Add an exact tie and a shared spot to ``nodes``: ``t0`` and ``t1``
+    at bit-identical distances from a midpoint, and ``dup`` on the spot of
+    ``dup_of``.  Returns the midpoint and the tied distance.
+
+    The midpoint and both nodes share a latitude and sit at dyadic
+    longitude offsets, so both differences are exact and haversine returns
+    the same distance for each.
+    """
+    mid = offset_point(base, 700.0, 900.0)
+    mid = GeoPoint(mid.lat, base.lon + 2.0 ** -9)
+    d_lon = 2.0 ** -12
+    nodes["t1"] = GeoPoint(mid.lat, mid.lon + d_lon)
+    nodes["t0"] = GeoPoint(mid.lat, mid.lon - d_lon)
+    nodes["dup"] = nodes[dup_of]
+    tie = haversine_distance(mid, nodes["t0"])
+    assert tie == haversine_distance(mid, nodes["t1"])
+    return mid, tie
 
 
 class TestValidation:
@@ -145,18 +168,8 @@ class TestNearestNode:
                                       float(rng.uniform(0, 2000)))
             for i in range(40)
         }
-        # An exact tie on the bisector: a point between two nodes placed at
-        # dyadic longitude offsets, so both differences are exact and
-        # haversine returns bit-identical distances.
-        mid = offset_point(base, 700.0, 900.0)
-        mid = GeoPoint(mid.lat, 11.0 + 2.0 ** -9)
-        d_lon = 2.0 ** -12
-        nodes["t1"] = GeoPoint(mid.lat, mid.lon + d_lon)
-        nodes["t0"] = GeoPoint(mid.lat, mid.lon - d_lon)
-        nodes["dup"] = nodes["n07"]  # a second node on the same spot
+        mid, tie = with_tie_and_dup(nodes, base, "n07")
         net = RoadNetwork(nodes, {})
-        tie = haversine_distance(mid, nodes["t0"])
-        assert tie == haversine_distance(mid, nodes["t1"])
 
         queries = [(mid, tie), (mid, tie * (1 - 1e-12)), (mid, 2000.0)]
         for nid in ("n03", "n07", "t1"):
@@ -184,6 +197,123 @@ class TestNearestNode:
         p = GeoPoint(0.0, 179.9995)
         assert brute_force_nearest_node(net, p, 2000.0) == "west"
         assert net.nearest_node(p, within=2000.0) == "west"
+        assert net.nearest_nodes([p, nodes["east"], GeoPoint(0.0, 179.0)], 2000.0) == \
+            ["west", "east", None]
+
+
+# Where the batch is checked: the index frame's scale differs most from a
+# query's at high latitude; boxes reaching the pole, or the antimeridian
+# (queries east of 180 degrees wrap to the west), have no bound and take
+# the whole grid.
+SNAP_PLACES = {
+    "equator": GeoPoint(0.0, 11.0),
+    "mid-latitude": BASE,
+    "north-75": GeoPoint(75.0, 11.0),
+    "south-75": GeoPoint(-75.0, 11.0),
+    "near-pole": GeoPoint(89.975, 11.0),
+    "antimeridian": GeoPoint(0.0, 179.982),
+}
+
+
+def wrap_lon(p: GeoPoint) -> GeoPoint:
+    return GeoPoint(p.lat, (p.lon + 180.0) % 360.0 - 180.0)
+
+
+class TestNearestNodes:
+    """The batch against the scalar method, point for point, and both
+    against brute force."""
+
+    @given(
+        place=st.sampled_from(sorted(SNAP_PLACES)),
+        seed=st.integers(0, 2 ** 16),
+        picks=st.lists(
+            st.tuples(st.sampled_from(["free", "node", "mid"]),
+                      st.floats(-300.0, 2300.0), st.floats(-300.0, 2300.0),
+                      st.integers(0, 2 ** 16)),
+            max_size=25,
+        ),
+        within_kind=st.sampled_from(["free", "zero", "tie", "exact"]),
+        free_within=st.floats(0.0, 2000.0),
+        exact_pick=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(place="near-pole", seed=0, within_kind="free", free_within=2000.0, exact_pick=0,
+             picks=[("free", 1000.0, 2300.0, 0), ("free", 0.0, 1900.0, 0), ("node", 0, 0, 3)])
+    @example(place="antimeridian", seed=1, within_kind="free", free_within=400.0, exact_pick=0,
+             picks=[("free", 2300.0, 500.0, 0), ("free", 1990.0, 500.0, 0), ("node", 0, 0, 5)])
+    def test_equals_nearest_node(self, place, seed, picks, within_kind, free_within,
+                                 exact_pick):
+        base = SNAP_PLACES[place]
+        rough = random_network(np.random.default_rng(seed), 12, base)
+        nodes = dict(rough.nodes)
+        mid, tie = with_tie_and_dup(nodes, base, min(nodes))
+        net = RoadNetwork(nodes, rough.links)
+        ids = sorted(nodes)
+        points = [mid]
+        for kind, east, north, k in picks:
+            if kind == "node":
+                points.append(nodes[ids[k % len(ids)]])
+            elif kind == "mid":
+                points.append(mid)
+            else:
+                points.append(wrap_lon(offset_point(base, east, north)))
+        within = {
+            "free": free_within,
+            "zero": 0.0,
+            "tie": tie,
+            # exactly the distance from one query to one node
+            "exact": haversine_distance(points[exact_pick % len(points)],
+                                        nodes[ids[exact_pick % len(ids)]]),
+        }[within_kind]
+
+        scalar = [net.nearest_node(p, within) for p in points]
+        assert net.nearest_nodes(points, within) == scalar
+        assert scalar == [brute_force_nearest_node(net, p, within) for p in points]
+
+    @pytest.mark.parametrize("lat", [0.0, 60.0, 75.0, -75.0])
+    def test_one_node_exactly_within_in_every_direction(self, lat):
+        # The only node lies exactly ``within`` away, at each of 36
+        # bearings, so a box narrower than the bound in any direction
+        # loses it.  The far node moves the network anchor, and with it the
+        # index frame's east-west scale, away from the query's latitude.
+        center = GeoPoint(lat, 11.0)
+        far = offset_point(center, 0.0, 300_000.0 if lat < 60.0 else -300_000.0)
+        for k in range(36):
+            theta = math.radians(10.0 * k)
+            node = offset_point(center, 500.0 * math.cos(theta), 500.0 * math.sin(theta))
+            net = RoadNetwork({"far": far, "node": node}, {})
+            within = haversine_distance(center, node)
+            assert net.nearest_nodes([center], within) == ["node"]
+            assert net.nearest_nodes([center], math.nextafter(within, 0.0)) == [None]
+
+    def test_ties_and_a_shared_spot(self):
+        nodes = {"a": offset_point(BASE, 0.0, 0.0), "b": offset_point(BASE, 300.0, 0.0)}
+        mid, tie = with_tie_and_dup(nodes, BASE, "a")
+        net = RoadNetwork(nodes, {})
+        assert net.nearest_nodes([mid, nodes["a"]], tie) == ["t0", "a"]
+        assert net.nearest_nodes([mid], tie * (1 - 1e-12)) == [None]
+        assert net.nearest_nodes([nodes["a"]], 0.0) == ["a"]  # "dup" sorts after "a"
+
+    def test_box_without_a_bound_near_the_pole(self):
+        base = GeoPoint(89.9, 11.0)
+        net = random_network(np.random.default_rng(90), 12, base, span_m=2000.0)
+        center = offset_point(base, 1000.0, 9000.0)  # about 2 km from the pole
+        radius = DEFAULT_MAX_BUFFER_M
+        assert net._half_width(center, radius) == math.inf
+        points = [center, base] + list(net.nodes.values())
+        assert net.nearest_nodes(points, radius) == [net.nearest_node(p, radius) for p in points]
+        assert net.nearest_nodes([center], radius) == [brute_force_nearest_node(net, center, radius)]
+
+    def test_nothing_snaps(self, city20):
+        far = [offset_point(city20.nodes["n000_000"], -5000.0 - 10.0 * k, 300.0)
+               for k in range(50)]
+        assert city20.nearest_nodes(far, 50.0) == [None] * 50
+        between = [offset_point(city20.nodes["n000_000"], 50.0 + 100.0 * k, 50.0)
+                   for k in range(19)]  # block centres, about 70 m from every node
+        assert city20.nearest_nodes(between, 50.0) == [None] * 19
+
+    def test_empty_batch(self, city20):
+        assert city20.nearest_nodes([], 50.0) == []
 
 
 class TestRadiusQueriesAtHighLatitude:
@@ -232,6 +362,7 @@ class TestRadiusQueriesAtHighLatitude:
             within = haversine_distance(center, net.nodes["c" + name])
             assert net.nearest_node(center, within) == \
                 brute_force_nearest_node(net, center, within)
+            assert net.nearest_nodes([center], within) == [net.nearest_node(center, within)]
             radius = net.distance_to_link(center, "t" + name)
             expected = brute_force_within(net, center, radius)
             assert net.links_within(center, radius) == expected
@@ -268,6 +399,24 @@ class TestIndexBoxWidth:
             p = offset_point(origin, float(rng.uniform(0, 1900)), float(rng.uniform(0, 1900)))
             city20.nearest_node(p, within=50.0)
         assert len(calls) / n <= 6.0  # measured 4.0
+
+    def test_haversine_calls_per_batched_snap(self, city20, monkeypatch):
+        # The batch measures only the nodes inside each point's box, not
+        # every node of the cells the box touches.
+        calls = []
+
+        def counting(a, b):
+            calls.append(b)
+            return haversine_distance(a, b)
+
+        monkeypatch.setattr(network_module, "haversine_distance", counting)
+        rng = np.random.default_rng(20)
+        origin = city20.nodes["n000_000"]
+        n = 1000
+        points = [offset_point(origin, float(rng.uniform(0, 1900)), float(rng.uniform(0, 1900)))
+                  for _ in range(n)]
+        city20.nearest_nodes(points, within=50.0)
+        assert len(calls) / n <= 1.5  # measured 1.0
 
     def test_distance_calls_per_select_radius(self, city20, monkeypatch):
         calls = []

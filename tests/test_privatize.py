@@ -15,6 +15,7 @@ from dpmobility.privatize import (
     PrivacyConfig,
     detect_repeated_od,
     match_corpus,
+    match_window,
     od_remove,
     od_successive_remove,
     plan_endpoints,
@@ -343,6 +344,14 @@ class TestWindowBeforeMatching:
         assert [id(g) for g in match_calls] == [id(g) for g in in_window]
         assert plan.excluded["out_of_window"] == len(corpus) - len(in_window)
         assert all(window.contains(corpus[i]) for i in plan.trips)
+
+    def test_window_with_no_trip_matches_nothing(self, city20, match_calls):
+        corpus, _ = two_day_corpus(city20)
+        saturday = Window((13, 14), frozenset({"Sa"}))
+        assert match_window(corpus, city20, window=saturday) == \
+            ({}, {"out_of_window": len(corpus)})
+        assert match_window([], city20, window=saturday) == ({}, {})
+        assert match_calls == []
 
     def test_unmatchable_trip_outside_the_window_is_out_of_window(self, city20):
         # Monday, far from every node: outside a Tuesday window and unmatchable.
