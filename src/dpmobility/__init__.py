@@ -26,9 +26,7 @@ from .metrics import (
     intersection_density,
     network_length,
     unchanged_single_count_od,
-    vhd,
-    vht,
-    vmt,
+    utility,
 )
 from .network import Link, LinkId, NodeId, RoadNetwork
 from .noise import (

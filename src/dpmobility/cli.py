@@ -23,10 +23,7 @@ from .metrics import (
     DEFAULT_MODELS,
     compare,
     intersection_density,
-    network_length,
-    vht,
-    vhd,
-    vmt,
+    utility,
 )
 from .noise import NoiseParams, verify_geo_indistinguishability
 from .privatize import PrivacyConfig, match_window, privatize_aggregate
@@ -209,10 +206,8 @@ def cmd_metrics(args) -> int:
     print(f"trips={len(trips)}")
     print(f"trips_unmatchable={excluded.get('unmatchable', 0)}")
     print(f"active_links={len(agg.counts)}")
-    print(f"network_length_mi={network_length(agg, net)!r}")
-    print(f"vmt_mi={vmt(trips, net)!r}")
-    print(f"vht_h={vht(trips, net)!r}")
-    print(f"vhd_h={vhd(trips, net)!r}")
+    for name, value in utility(trips, agg, net).items():
+        print(f"{name}={value!r}")
     print("intersection_density_histogram=" +
           ",".join(f"{value}:{share:.4f}" for value, share in histogram.items()))
     return EXIT_OK

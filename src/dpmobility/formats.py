@@ -63,8 +63,9 @@ def _read_csv(path: str | Path, required: Sequence[str], parse: Callable[[dict],
               ) -> tuple[list[str], list]:
     """The text of the leading '#' lines, and ``parse(row)`` for each
     non-blank row as a dict keyed by the header.  A missing column, a row
-    shorter or longer than the header, or a ``ValueError`` from ``parse``
-    raises :class:`InputFormatError` with the file line."""
+    shorter or longer than the header, a ``csv.Error`` (a field over the
+    size limit), or a ``ValueError`` from ``parse`` raises
+    :class:`InputFormatError` with the file line."""
     preamble: list[str] = []
     with open(path, encoding="utf-8", newline="") as f:
         line = f.readline()
@@ -82,7 +83,7 @@ def _read_csv(path: str | Path, required: Sequence[str], parse: Callable[[dict],
                 if len(fields) != len(header):
                     raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
                 rows.append(parse(dict(zip(header, fields))))
-        except ValueError as e:
+        except (ValueError, csv.Error) as e:
             raise InputFormatError(str(path), len(preamble) + reader.line_num, str(e)) from e
     return preamble, rows
 
@@ -176,8 +177,11 @@ def load_network_geojson(path: str | Path) -> RoadNetwork:
         raise InputFormatError(str(path), e.lineno, e.msg) from e
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise InputFormatError(str(path), None, "expected a FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise InputFormatError(str(path), None, "expected \"features\" to be a list")
     links = []
-    for i, feature in enumerate(doc.get("features", [])):
+    for i, feature in enumerate(features):
         try:
             geom = feature.get("geometry") or {}
             coords = geom.get("coordinates") or []

@@ -47,37 +47,28 @@ def network_length(agg: AggregatedMobilityNetwork, net: RoadNetwork) -> float:
     return sum(net.links[lid].length_m for lid in agg.counts) / METERS_PER_MILE
 
 
-def vmt(corpus: Sequence[LinkTrajectory], net: RoadNetwork) -> float:
-    """Vehicle miles traveled: traversal lengths summed with multiplicity."""
-    meters = sum(net.links[lid].length_m for t in corpus for lid in t.links)
-    return meters / METERS_PER_MILE
-
-
-def vht(corpus: Sequence[LinkTrajectory], net: RoadNetwork) -> float:
-    """Vehicle hours traveled at free-flow speeds."""
+def utility(
+    corpus: Sequence[LinkTrajectory], agg: AggregatedMobilityNetwork, net: RoadNetwork
+) -> dict[str, float]:
+    """Network length of ``agg``, and VMT, VHT (each traversal at its
+    link's free-flow speed) and VHD of ``corpus``, from one walk over the
+    traversals."""
+    links = net.links
+    meters = 0
     seconds = 0.0
     for t in corpus:
-        seconds += sum(net.links[lid].length_m / net.links[lid].speed_mps for lid in t.links)
-    return seconds / 3600.0
-
-
-def vhd(
-    corpus: Sequence[LinkTrajectory],
-    net: RoadNetwork,
-    observed_speeds: Mapping[LinkId, float] | None = None,
-) -> float:
-    """Vehicle hours of delay versus free flow; zero without observations."""
-    if not observed_speeds:
-        return 0.0
-    seconds = 0.0
-    for t in corpus:
+        trip_s = 0  # per-trip subtotals: the summation order of recorded outputs
         for lid in t.links:
-            obs = observed_speeds.get(lid)
-            if obs is None:
-                continue
-            link = net.links[lid]
-            seconds += max(0.0, link.length_m / obs - link.length_m / link.speed_mps)
-    return seconds / 3600.0
+            link = links[lid]
+            meters += link.length_m
+            trip_s += link.length_m / link.speed_mps
+        seconds += trip_s
+    return {
+        "network_length_mi": network_length(agg, net),
+        "vmt_mi": meters / METERS_PER_MILE,
+        "vht_h": seconds / 3600.0,
+        "vhd_h": 0.0,  # delay needs observed link speeds, and no input carries them
+    }
 
 
 def intersection_density(
@@ -189,10 +180,7 @@ def compare(
         rows.append({
             "model": model,
             "epsilon": epsilon,
-            "network_length_mi": network_length(agg, net),
-            "vmt_mi": vmt(corpus, net),
-            "vht_h": vht(corpus, net),
-            "vhd_h": vhd(corpus, net),
+            **utility(corpus, agg, net),
             "unchanged_slc_od": unchanged,
             "privatized_ratio": ratio,
             "trips_excluded": len(gps_corpus) - len(released),

@@ -187,6 +187,10 @@ def perturb_batch(
     return displace_batch(point, r, theta)
 
 
+# Fewer samples per cloud leave a cell's log-ratio dominated by sampling noise.
+MIN_CELL_COUNT = 50
+
+
 def verify_geo_indistinguishability(
     x0: GeoPoint,
     x1: GeoPoint,
@@ -194,14 +198,13 @@ def verify_geo_indistinguishability(
     n_samples: int,
     cell_m: float,
     seed: int = 0,
-    min_cell_count: int = 50,
 ) -> float:
     """Monte-Carlo bound check on the mechanism's output distributions.
 
     Perturbs ``x0`` and ``x1`` ``n_samples`` times each, histograms both
     output clouds on a shared planar grid of ``cell_m`` cells, and returns
     the maximum |log(count0/count1)| over cells holding at least
-    ``min_cell_count`` samples from both clouds.  For an
+    ``MIN_CELL_COUNT`` samples from both clouds.  For an
     (eps/R)-geo-indistinguishable mechanism this is bounded by
     (eps/R) * d(x0, x1) up to sampling noise.  A cell size that is not
     finite and positive, or no such cell at all (nothing was compared),
@@ -234,11 +237,11 @@ def verify_geo_indistinguishability(
     ratios = []
     for key, c0 in counts0.items():
         c1 = counts1.get(key, 0)
-        if c0 >= min_cell_count and c1 >= min_cell_count:
+        if c0 >= MIN_CELL_COUNT and c1 >= MIN_CELL_COUNT:
             ratios.append(abs(math.log(c0 / c1)))
     if not ratios:
         raise ValueError(
-            f"no {cell_m} m cell holds {min_cell_count} samples from both points; "
+            f"no {cell_m} m cell holds {MIN_CELL_COUNT} samples from both points; "
             "nothing was compared"
         )
     return max(ratios)

@@ -36,6 +36,7 @@ endpoint links, and clipping runs of unique links inward from both ends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -417,33 +418,30 @@ def trip_remove(corpus: Sequence[LinkTrajectory]) -> list[LinkTrajectory | None]
     ]
 
 
-def od_remove(corpus: Sequence[LinkTrajectory]) -> list[LinkTrajectory | None]:
-    """Clip unique endpoint links; drop trips that lose all their links."""
+def _clip_ends(corpus: Sequence[LinkTrajectory], per_end: float) -> list[LinkTrajectory | None]:
+    """Clip up to ``per_end`` links traversed once inward from each trip
+    end, the origin end first; drop trips that lose all their links."""
     counts = compute_link_counts(corpus)
     out: list[LinkTrajectory | None] = []
     for t in corpus:
         links = list(t.links)
-        drop_first = counts[links[0]] == 1
-        if counts[links[-1]] == 1:
-            links = links[:-1]
-        if drop_first and links:
-            links = links[1:]
+        for end in (0, -1):
+            clipped = 0
+            while links and clipped < per_end and counts[links[end]] == 1:
+                links.pop(end)
+                clipped += 1
         out.append(replace(t, links=tuple(links)) if links else None)
     return out
+
+
+def od_remove(corpus: Sequence[LinkTrajectory]) -> list[LinkTrajectory | None]:
+    """Clip unique endpoint links; drop trips that lose all their links."""
+    return _clip_ends(corpus, 1)
 
 
 def od_successive_remove(corpus: Sequence[LinkTrajectory]) -> list[LinkTrajectory | None]:
     """Clip runs of unique links inward from both trip ends."""
-    counts = compute_link_counts(corpus)
-    out: list[LinkTrajectory | None] = []
-    for t in corpus:
-        links = list(t.links)
-        while links and counts[links[0]] == 1:
-            links.pop(0)
-        while links and counts[links[-1]] == 1:
-            links.pop()
-        out.append(replace(t, links=tuple(links)) if links else None)
-    return out
+    return _clip_ends(corpus, math.inf)
 
 
 _BASELINES = {

@@ -45,8 +45,8 @@ class SynthCityConfig:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ValueError("grid needs at least 2x2 nodes")
-        if self.spacing_m <= 0.0:
-            raise ValueError("spacing must be positive")
+        if not (0.0 < self.spacing_m < math.inf):
+            raise ValueError(f"spacing must be finite and positive: {self.spacing_m}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,14 @@ class SynthTripConfig:
             raise ValueError("n_devices must be >= 1")
         if not self.days:
             raise ValueError("at least one day is required")
-        if self.jitter_sigma_m < 0.0:
-            raise ValueError("jitter must be >= 0")
+        if not (0.0 <= self.jitter_sigma_m < math.inf):
+            raise ValueError(f"jitter must be finite and >= 0: {self.jitter_sigma_m}")
         if not (0.0 <= self.repeat_fraction <= 1.0):
             raise ValueError("repeat_fraction must lie in [0, 1]")
-        if self.gps_interval_s <= 0.0:
-            raise ValueError("gps interval must be positive")
+        if not (0.0 < self.gps_interval_s < math.inf):
+            raise ValueError(f"gps interval must be finite and positive: {self.gps_interval_s}")
+        if not math.isfinite(self.od_popularity_alpha):
+            raise ValueError(f"od popularity alpha must be finite: {self.od_popularity_alpha}")
         Window(self.hour_window, frozenset(), self.utc_offset_hours)  # checks hours and offset
 
 
@@ -195,7 +197,7 @@ def generate_trips(
             except NoPathError:
                 continue
             return node_ids[o], node_ids[d]
-        raise RuntimeError("could not draw a routable endpoint pair")
+        raise ValueError(f"no routable endpoint pair drawn at od alpha {cfg.od_popularity_alpha}")
 
     devices = [f"d{j:04d}" for j in range(cfg.n_devices)]
     n_repeat = min(round(cfg.repeat_fraction * cfg.n_devices), cfg.n_trips)

@@ -7,7 +7,7 @@ import pytest
 from dpmobility import formats
 from dpmobility.cli import _load_inputs, _privacy_config, build_parser, main
 from dpmobility.matching import MatchConfig
-from dpmobility.metrics import COMPARE_COLUMNS
+from dpmobility.metrics import COMPARE_COLUMNS, compare
 from dpmobility.privatize import PrivacyConfig
 from dpmobility.trajectories import DEFAULT_TRIP_GAP_S, DEFAULT_UTC_OFFSET_H, Window
 
@@ -66,6 +66,26 @@ class TestSynthCommands:
         out = tmp_path / "t.csv"
         assert main(["synth", "trips", "--network", str(net), "--dates", "2026-01-06",
                      "--utc-offset", "inf", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options", [
+        ["--jitter", "nan"], ["--jitter", "inf"], ["--interval", "nan"], ["--interval", "inf"],
+        ["--od-alpha", "nan"], ["--od-alpha", "inf"], ["--od-alpha", "1e4"],
+    ], ids=["jitter-nan", "jitter-inf", "interval-nan", "interval-inf", "alpha-nan",
+            "alpha-inf", "alpha-unroutable"])
+    def test_trips_bad_shape_exit_2(self, inputs, tmp_path, capsys, options):
+        _, net, _, _ = inputs
+        out = tmp_path / "t.csv"
+        assert main(["synth", "trips", "--network", str(net), "--dates", "2026-01-06",
+                     *options, "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spacing", ["nan", "inf"])
+    def test_network_non_finite_spacing_exit_2(self, tmp_path, capsys, spacing):
+        out = tmp_path / "n.geojson"
+        assert main(["synth", "network", "--spacing", spacing, "--out", str(out)]) == 2
+        assert "spacing must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_network_output(self, inputs, tmp_path):
@@ -172,9 +192,14 @@ class TestPrivatizeCommand:
          ",".join(formats.NETWORK_CSV_COLUMNS) + "\nL1,a,b,37.8,-122.3,37.801,-122.3,3,0,\n",
          ":2"),
         ("network", "bad.geojson", '{"type": "FeatureCollection", "features": []}', ""),
+        ("network", "bad.geojson", '{"type": "FeatureCollection", "features": null}', ""),
+        ("network", "bad.geojson", '{"type": "FeatureCollection", "features": 3}', ""),
+        ("trips", "bad.csv",
+         "device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00Z,37.8," + "1" * 200_000 + "\n",
+         ":2"),
     ], ids=["bad-timestamp", "short-trip-row", "naive-timestamp", "long-trip-row",
             "short-network-row", "null-coordinate", "fractional-fc", "fc-9", "zero-speed",
-            "empty-network"])
+            "empty-network", "features-null", "features-number", "huge-field"])
     def test_malformed_trips_exit_2(self, inputs, tmp_path, capsys, kind, name, text, where):
         _, net, trips, _ = inputs
         bad = tmp_path / name
@@ -377,6 +402,20 @@ class TestAggregateAndMetrics:
         assert r.returncode == 0
         keys = {line.split("=")[0] for line in r.stdout.splitlines() if "=" in line}
         assert {"trips", "network_length_mi", "vmt_mi", "vht_h", "vhd_h"} <= keys
+
+    def test_metrics_prints_compare_raw_row(self, inputs, capsys):
+        _, net_path, trips_path, _ = inputs
+        argv = ["metrics", "--network", str(net_path), "--trips", str(trips_path),
+                "--days", "T,W"]
+        assert main(argv) == 0
+        printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        net, corpus, window, match_cfg = _load_inputs(build_parser().parse_args(argv))
+        raw_row, = compare(corpus, net, PrivacyConfig(), models=("raw",),
+                           match_cfg=match_cfg, window=window)
+        utility_columns = ("network_length_mi", "vmt_mi", "vht_h", "vhd_h")
+        assert {name: printed[name] for name in utility_columns} == {
+            name: repr(raw_row[name]) for name in utility_columns
+        }
 
 
 class TestOptionDefaults:

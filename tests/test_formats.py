@@ -73,6 +73,14 @@ class TestNetworkFiles:
             formats.load_network_geojson(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("features", ["null", "3"], ids=["features-null", "features-number"])
+    def test_features_not_a_list_rejected(self, tmp_path, features):
+        path = tmp_path / "bad.geojson"
+        path.write_text('{"type": "FeatureCollection", "features": %s}' % features)
+        with pytest.raises(InputFormatError, match="features") as err:
+            formats.load_network_geojson(path)
+        assert (err.value.path, err.value.line) == (str(path), None)
+
     @pytest.mark.parametrize("row", [
         "L2,a,c,37.8,-122.3,37.801",
         "L2,a,c,37.8,-122.3,37.801,-122.3,x,10.0,",
@@ -171,7 +179,8 @@ class TestTripFiles:
         "d1,2026-01-06T21:40:00Z,37.8",
         "d1,2026-01-06T21:40:00,37.8,-122.3",
         "d1,2026-01-06T21:40:00Z,37.8,-122.3,99,oops",
-    ], ids=["bad-timestamp", "short-row", "naive-timestamp", "long-row"])
+        "d1,2026-01-06T21:40:00Z,37.8," + "1" * 200_000,
+    ], ids=["bad-timestamp", "short-row", "naive-timestamp", "long-row", "huge-field"])
     def test_bad_row_reports_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -13,9 +14,7 @@ from dpmobility.metrics import (
     intersection_density,
     network_length,
     unchanged_single_count_od,
-    vhd,
-    vht,
-    vmt,
+    utility,
 )
 from dpmobility.privatize import (
     PrivacyConfig,
@@ -28,7 +27,8 @@ from dpmobility.privatize import (
     trip_remove,
 )
 from dpmobility.trajectories import window_filter
-from dpmobility.synth import SynthTripConfig, generate_trips
+from dpmobility.network import RoadNetwork
+from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 from dpmobility.trajectories import LinkTrajectory
 
 from conftest import grid3x3, make_network
@@ -53,6 +53,10 @@ def line_network(lengths: dict[str, float], speed: float = 10.0):
         edges.append((lid, f"n{i}", f"n{i+1}", {"speed_mps": speed,
                                                 "length_m": lengths[lid]}))
     return make_network(nodes, edges)
+
+
+def utility_of(corpus, net):
+    return utility(corpus, aggregate(corpus), net)
 
 
 class TestAggregate:
@@ -106,34 +110,55 @@ class TestLengthMetrics:
 
     def test_vmt_examples(self):
         net = line_network({"a": 2000.0})
-        assert vmt([], net) == 0.0
+        assert utility_of([], net)["vmt_mi"] == 0.0
         trips = [lt(["a"]), lt(["a"]), lt(["a"])]
-        assert vmt(trips, net) == pytest.approx(6000.0 / MILE, abs=1e-6)
+        assert utility_of(trips, net)["vmt_mi"] == pytest.approx(6000.0 / MILE, abs=1e-6)
 
     def test_vmt_counts_multiplicity(self, city20):
         cfg = SynthTripConfig(n_trips=25, n_devices=10, days=(date(2026, 1, 6),), seed=23)
         _, truth = generate_trips(city20, cfg)
         expected = sum(city20.links[l].length_m for t in truth for l in t.links) / MILE
-        assert vmt(truth, city20) == pytest.approx(expected)
+        assert utility_of(truth, city20)["vmt_mi"] == pytest.approx(expected)
 
 
 class TestTimeMetrics:
     def test_vht_free_flow(self):
         net = line_network({"a": 1000.0}, speed=10.0)
-        assert vht([lt(["a"])], net) == pytest.approx(100.0 / 3600.0)
-        assert vht([], net) == 0.0
+        assert utility_of([lt(["a"])], net)["vht_h"] == pytest.approx(100.0 / 3600.0)
+        assert utility_of([], net)["vht_h"] == 0.0
 
     def test_vhd_zero_without_observations(self):
         net = line_network({"a": 1000.0}, speed=10.0)
-        assert vhd([lt(["a"])], net) == 0.0
-        assert vhd([lt(["a"])], net, {"a": 10.0}) == 0.0  # observed == free flow
+        assert utility_of([lt(["a"])], net)["vhd_h"] == 0.0
 
-    def test_vhd_half_speed(self):
-        net = line_network({"a": 1000.0}, speed=10.0)
-        # at half speed each traversal loses length/v_f hours
-        expected = (1000.0 / 5.0 - 1000.0 / 10.0) / 3600.0
-        assert vhd([lt(["a"])], net, {"a": 5.0}) == pytest.approx(expected)
-        assert vhd([lt(["a"])], net, {"a": 20.0}) == 0.0  # faster than free flow
+
+class TestUtility:
+    def test_columns_in_order(self):
+        net = line_network({"a": 1000.0})
+        assert list(utility_of([lt(["a"])], net)) == [
+            "network_length_mi", "vmt_mi", "vht_h", "vhd_h",
+        ]
+
+    def test_one_pass_equals_separate_folds(self):
+        # Non-integer lengths and speeds, so any change in the order or the
+        # grouping of the float additions would show.
+        city = generate_city(SynthCityConfig(rows=8, cols=8, spacing_m=87.3))
+        net = RoadNetwork(city.nodes, {
+            lid: replace(link, speed_mps=link.speed_mps + 0.37 * (i % 5))
+            for i, (lid, link) in enumerate(city.links.items())
+        })
+        cfg = SynthTripConfig(n_trips=40, n_devices=20, days=(date(2026, 1, 6),), seed=27)
+        _, truth = generate_trips(net, cfg)
+        for corpus in (truth, truth[::3], []):
+            got = utility(corpus, aggregate(corpus), net)
+            vmt = sum(net.links[lid].length_m for t in corpus for lid in t.links) / MILE
+            seconds = 0.0
+            for t in corpus:
+                seconds += sum(net.links[lid].length_m / net.links[lid].speed_mps
+                               for lid in t.links)
+            assert got["vmt_mi"] == vmt
+            assert got["vht_h"] == seconds / 3600.0
+            assert got["network_length_mi"] == network_length(aggregate(corpus), net)
 
 
 class TestIntersectionDensity:
@@ -280,7 +305,7 @@ class TestCompare:
         reduced = [t for t in trip_remove(raw_trips) if t is not None]
         reduced_agg = aggregate(reduced, source="trip-remove")
         assert network_length(reduced_agg, net) <= network_length(raw_agg, net)
-        assert vmt(reduced, net) <= vmt(raw_trips, net)
+        assert utility_of(reduced, net)["vmt_mi"] <= utility_of(raw_trips, net)["vmt_mi"]
 
     def test_plan_reused_across_epsilons(self, small_setup, monkeypatch):
         net, corpus = small_setup

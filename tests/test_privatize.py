@@ -4,6 +4,8 @@ from dataclasses import replace
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmobility.adaptive import BufferResult
 from dpmobility.aggregate import Window, compute_link_counts
@@ -407,24 +409,34 @@ class TestBaselines:
     def test_baselines_match_brute_force(self, city20):
         cfg_trips = SynthTripConfig(n_trips=60, n_devices=30, days=(date(2026, 1, 6),), seed=16)
         _, truth = generate_trips(city20, cfg_trips)
-        counts = compute_link_counts(truth)
+        assert_baselines_match_brute_force(truth)
 
-        for t, got in zip(truth, trip_remove(truth)):
-            expect_drop = counts[t.links[0]] == 1 or counts[t.links[-1]] == 1
-            assert (got is None) == expect_drop
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5),
+                    min_size=1, max_size=6))
+    def test_baselines_match_brute_force_on_generated_corpora(self, trips):
+        assert_baselines_match_brute_force([lt(links) for links in trips])
 
-        for t, got in zip(truth, od_remove(truth)):
-            links = list(t.links)
-            if counts[links[-1]] == 1:
-                links = links[:-1]
-            if links and counts[t.links[0]] == 1:
-                links = links[1:]
-            assert (tuple(links) if links else None) == (got.links if got else None)
 
-        for t, got in zip(truth, od_successive_remove(truth)):
-            links = list(t.links)
-            while links and counts[links[0]] == 1:
-                links.pop(0)
-            while links and counts[links[-1]] == 1:
-                links.pop()
-            assert (tuple(links) if links else None) == (got.links if got else None)
+def assert_baselines_match_brute_force(corpus):
+    counts = compute_link_counts(corpus)
+
+    for t, got in zip(corpus, trip_remove(corpus)):
+        expect_drop = counts[t.links[0]] == 1 or counts[t.links[-1]] == 1
+        assert (got is None) == expect_drop
+
+    for t, got in zip(corpus, od_remove(corpus)):
+        links = list(t.links)
+        if counts[links[-1]] == 1:
+            links = links[:-1]
+        if links and counts[t.links[0]] == 1:
+            links = links[1:]
+        assert (tuple(links) if links else None) == (got.links if got else None)
+
+    for t, got in zip(corpus, od_successive_remove(corpus)):
+        links = list(t.links)
+        while links and counts[links[0]] == 1:
+            links.pop(0)
+        while links and counts[links[-1]] == 1:
+            links.pop()
+        assert (tuple(links) if links else None) == (got.links if got else None)

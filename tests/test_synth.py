@@ -1,3 +1,4 @@
+import math
 from datetime import date
 
 import pytest
@@ -55,12 +56,40 @@ class TestGenerateCity:
         with pytest.raises(ValueError):
             SynthCityConfig(rows=1, cols=5)
 
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_spacing(self, spacing):
+        with pytest.raises(ValueError, match="spacing"):
+            SynthCityConfig(rows=3, cols=3, spacing_m=spacing)
+
 
 class TestGenerateTrips:
     @pytest.mark.parametrize("hours", [(14, 13), (20, 25)])
     def test_rejects_bad_hour_window(self, hours):
         with pytest.raises(ValueError):
             SynthTripConfig(n_trips=1, n_devices=1, days=TWO_DAYS, hour_window=hours)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("jitter_sigma_m", -1.0, "jitter"),
+        ("jitter_sigma_m", math.nan, "jitter"),
+        ("jitter_sigma_m", math.inf, "jitter"),
+        ("gps_interval_s", 0.0, "interval"),
+        ("gps_interval_s", math.nan, "interval"),
+        ("gps_interval_s", math.inf, "interval"),
+        ("od_popularity_alpha", math.nan, "alpha"),
+        ("od_popularity_alpha", math.inf, "alpha"),
+        ("od_popularity_alpha", -math.inf, "alpha"),
+    ])
+    def test_rejects_non_finite_or_out_of_range(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SynthTripConfig(n_trips=1, n_devices=1, days=TWO_DAYS, **{field: value})
+
+    def test_unroutable_popularity_is_a_value_error(self):
+        # Every endpoint weight but the first node's underflows to zero, so
+        # each draw names the same node twice.
+        net = generate_city(SynthCityConfig(rows=3, cols=3))
+        cfg = SynthTripConfig(n_trips=1, n_devices=1, days=TWO_DAYS, od_popularity_alpha=1e4)
+        with pytest.raises(ValueError, match="no routable endpoint pair"):
+            generate_trips(net, cfg)
 
     def test_deterministic(self, city20):
         cfg = SynthTripConfig(n_trips=30, n_devices=15, days=TWO_DAYS, seed=31)
