@@ -32,10 +32,8 @@ from .network import Link, LinkId, NodeId, RoadNetwork
 from .noise import (
     NoiseParams,
     SeedRule,
-    inverse_cdf_radius,
     lambert_w_minus1,
     perturb,
-    sample_planar_laplace,
     verify_geo_indistinguishability,
 )
 from .privatize import (

@@ -65,16 +65,17 @@ def _read_csv(path: str | Path, required: Sequence[str], parse: Callable[[dict],
     non-blank row as a dict keyed by the header.  A missing column, a row
     shorter or longer than the header, a ``csv.Error`` (a field over the
     size limit), or a ``ValueError`` from ``parse`` raises
-    :class:`InputFormatError` with the file line."""
+    :class:`InputFormatError` with the file line; text that is not UTF-8
+    raises it with the path alone."""
     preamble: list[str] = []
+    rows = []
     with open(path, encoding="utf-8", newline="") as f:
-        line = f.readline()
-        while line.startswith("#"):
-            preamble.append(line[1:].strip())
-            line = f.readline()
-        reader = csv.reader(chain([line], f))
-        rows = []
         try:
+            line = f.readline()
+            while line.startswith("#"):
+                preamble.append(line[1:].strip())
+                line = f.readline()
+            reader = csv.reader(chain([line], f))
             header = next(reader)
             missing = set(required) - set(header)
             if missing:
@@ -83,9 +84,17 @@ def _read_csv(path: str | Path, required: Sequence[str], parse: Callable[[dict],
                 if len(fields) != len(header):
                     raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
                 rows.append(parse(dict(zip(header, fields))))
+        except UnicodeDecodeError as e:
+            raise InputFormatError(str(path), None, _not_utf8(e)) from e
         except (ValueError, csv.Error) as e:
             raise InputFormatError(str(path), len(preamble) + reader.line_num, str(e)) from e
     return preamble, rows
+
+
+def _not_utf8(e: UnicodeDecodeError) -> str:
+    # Text is decoded in chunks, so neither the line being read nor the
+    # error's position says where the byte lies in the file.
+    return f"not UTF-8 text: byte {e.object[e.start]:#04x}: {e.reason}"
 
 
 def _preamble(path: str | Path, lines: Sequence[str], convert: Callable[[str], Any] = str
@@ -175,6 +184,8 @@ def load_network_geojson(path: str | Path) -> RoadNetwork:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise InputFormatError(str(path), e.lineno, e.msg) from e
+    except UnicodeDecodeError as e:
+        raise InputFormatError(str(path), None, _not_utf8(e)) from e
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise InputFormatError(str(path), None, "expected a FeatureCollection")
     features = doc.get("features", [])

@@ -11,13 +11,12 @@ therefore only affects speed, never results.  For the same reason each
 node pair's shortest path is searched once per network and then served
 from a memo.
 
-Snapping many points at once (``RoadNetwork.nearest_nodes``, which the
-matcher calls once per corpus) reads the node grid as arrays: node
-coordinates in the index frame, and node positions sorted by cell.  Each
-point's box has the same half-extents as a single query's, and only the
-nodes inside it reach the exact great-circle distance and the
-``(distance, id)`` tie-break, so the batch returns exactly what
-``nearest_node`` returns for each point.
+Snapping (``RoadNetwork.nearest_nodes``, which the matcher calls once per
+corpus; ``nearest_node`` is its one-point call) reads the node grid as
+arrays: node coordinates in the index frame, and node positions sorted by
+cell.  Only the nodes inside a point's box reach the exact great-circle
+distance and the ``(distance, id)`` tie-break; a point whose box has no
+bound is measured against every node.
 """
 
 from __future__ import annotations
@@ -161,7 +160,6 @@ class RoadNetwork:
 
     def _build_index(self) -> None:
         self._grid: dict[tuple[int, int], list[LinkId]] = {}
-        self._node_grid: dict[tuple[int, int], list[NodeId]] = {}
         cells_min = [math.inf, math.inf]
         cells_max = [-math.inf, -math.inf]
 
@@ -190,7 +188,6 @@ class RoadNetwork:
         for nid in self._node_ids:
             xy = self._index_xy(self.nodes[nid])
             c = cell(*xy)
-            self._node_grid.setdefault(c, []).append(nid)
             node_xy.append(xy)
             node_cells.append(c)
             cells_min[0] = min(cells_min[0], c[0])
@@ -230,7 +227,7 @@ class RoadNetwork:
         * North-south: haversine is at least ``R*|dphi|``, and the centre's
           planar frame keeps ``R*dphi`` exactly, so the half-height is
           ``radius``.
-        * East-west, haversine (``nearest_node(s)``): ``hav(d/R) >=
+        * East-west, haversine (``nearest_nodes``): ``hav(d/R) >=
           cos(phic)*cos(phin)*hav(dlam)``, and ``|phin| <= |phic| + d/R``,
           so with ``m = cos(|phic| + radius/R)``,
           ``|dlam| <= 2*asin(radius/(2*R*m))``.  This is the planar bound
@@ -312,26 +309,18 @@ class RoadNetwork:
 
     def nearest_node(self, p: GeoPoint, within: float) -> NodeId | None:
         """Closest node to ``p``; ``None`` if none lies within ``within`` meters."""
-        (ix0, iy0), (ix1, iy1) = self._cells_in_range(p, within)
-        best: tuple[float, NodeId] | None = None
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                for nid in self._node_grid.get((ix, iy), ()):
-                    d = haversine_distance(p, self.nodes[nid])
-                    if d <= within and (best is None or (d, nid) < best):
-                        best = (d, nid)
-        return best[1] if best else None
+        return self.nearest_nodes([p], within)[0]
 
     def nearest_nodes(self, points: Sequence[GeoPoint], within: float) -> list[NodeId | None]:
-        """:meth:`nearest_node` of every point, in array passes of up to
-        ``SNAP_BATCH`` points.
+        """The closest node to each point, in array passes of up to
+        ``SNAP_BATCH`` points; ``None`` where none lies within ``within``
+        meters.
 
-        Equal to ``[self.nearest_node(p, within) for p in points]``.  Each
-        point's box has the half-extents :meth:`_cells_in_range` gives it,
-        and only the nodes inside the box get the exact distance, the
+        Each point's box has the half-extents :meth:`_cells_in_range` gives
+        it, and only the nodes inside the box get the exact distance, the
         ``within`` test and the ``(distance, id)`` tie-break.  A point whose
-        box has no bound (pole, antimeridian) goes to :meth:`nearest_node`,
-        which searches the whole grid.
+        box has no bound (pole, antimeridian) gets the same three against
+        every node.
         """
         found: list[NodeId | None] = []
         for start in range(0, len(points), SNAP_BATCH):
@@ -365,16 +354,20 @@ class RoadNetwork:
         inside = (np.abs(self._node_x[node] - x[row]) <= half_w[row]) & \
             (np.abs(self._node_y[node] - y[row]) <= half_h)
 
+        # Unbounded points pair with every node: their box would span the
+        # whole grid, which can be far wider than the network has nodes.
+        unbounded = np.flatnonzero(~bounded)
+        pairs = itertools.chain(
+            zip(rows[row[inside]].tolist(), node[inside].tolist()),
+            itertools.product(unbounded.tolist(), range(len(self._node_ids))),
+        )
         best: list[tuple[float, NodeId] | None] = [None] * len(points)
-        for i, k in zip(rows[row[inside]].tolist(), node[inside].tolist()):
+        for i, k in pairs:
             nid = self._node_ids[k]
             d = haversine_distance(points[i], self.nodes[nid])
             if d <= within and (best[i] is None or (d, nid) < best[i]):
                 best[i] = (d, nid)
-        found = [b[1] if b else None for b in best]
-        for i in np.flatnonzero(~bounded).tolist():
-            found[i] = self.nearest_node(points[i], within)
-        return found
+        return [b[1] if b else None for b in best]
 
     # -- routing ----------------------------------------------------------
 

@@ -6,9 +6,11 @@ The radial inverse CDF is
 
 where W_-1 is the lower real branch of the Lambert W function.  Radii from
 C_inv are scaled by a geometry radius R, so the effective per-meter privacy
-parameter of the mechanism is eps/R.  Only the factor 1/eps depends on
-epsilon: :func:`unit_radius` computes the rest once per uniform p, and
-:func:`scale_radius` applies 1/eps (and the clamp at 0).
+parameter of the mechanism is eps/R.  Every draw takes its uniforms from
+:func:`laplace_uniforms` (theta first, then p); only the factor 1/eps
+depends on epsilon, so :func:`unit_radius` computes the rest once per
+uniform p, and :func:`scale_radius` applies 1/eps (and the clamp at 0).
+A release, :func:`perturb` and the checker all draw this way.
 """
 
 from __future__ import annotations
@@ -143,13 +145,6 @@ def scale_radius(unit, epsilon: float):
     return np.maximum(unit / epsilon, 0.0)
 
 
-def inverse_cdf_radius(epsilon: float, p):
-    """Inverse radial CDF; monotone in ``p`` over [0, 1)."""
-    validate_epsilon(epsilon)
-    gamma = scale_radius(unit_radius(p), epsilon)
-    return float(gamma) if gamma.ndim == 0 else gamma
-
-
 def laplace_uniforms(rng: np.random.Generator, size: int | None = None):
     """The uniforms ``(theta, p)`` of planar Laplace draws, theta first.
 
@@ -161,30 +156,11 @@ def laplace_uniforms(rng: np.random.Generator, size: int | None = None):
     return theta, p
 
 
-def sample_planar_laplace(params: NoiseParams, rng: np.random.Generator, size: int | None = None):
-    """Draw (r, theta) in meters/radians; deterministic for a seeded ``rng``.
-
-    theta is uniform on [0, 2*pi); the radius is the inverse radial CDF of
-    a uniform p in [0, 1), scaled by ``params.radius_m``.  With ``size``
-    given, arrays of that length are returned.
-    """
-    theta, p = laplace_uniforms(rng, size)
-    r = inverse_cdf_radius(params.epsilon, p) * params.radius_m
-    return r, theta
-
-
 def perturb(point: GeoPoint, params: NoiseParams, rng: np.random.Generator) -> GeoPoint:
     """Planar-Laplace-perturbed copy of ``point``."""
-    r, theta = sample_planar_laplace(params, rng)
-    return displace(point, float(r), float(theta))
-
-
-def perturb_batch(
-    point: GeoPoint, params: NoiseParams, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` independent perturbations of ``point``; returns (lat, lon) arrays."""
-    r, theta = sample_planar_laplace(params, rng, size=n)
-    return displace_batch(point, r, theta)
+    theta, p = laplace_uniforms(rng)
+    r = float(scale_radius(unit_radius(p), params.epsilon)) * params.radius_m
+    return displace(point, r, theta)
 
 
 # Fewer samples per cloud leave a cell's log-ratio dominated by sampling noise.
@@ -199,16 +175,22 @@ def verify_geo_indistinguishability(
     cell_m: float,
     seed: int = 0,
 ) -> float:
-    """Monte-Carlo bound check on the mechanism's output distributions.
+    """Monte-Carlo bound check on the noise sampler's output distributions.
 
-    Perturbs ``x0`` and ``x1`` ``n_samples`` times each, histograms both
-    output clouds on a shared planar grid of ``cell_m`` cells, and returns
+    Perturbs ``x0`` and ``x1`` ``n_samples`` times each, drawing through the
+    release's own primitives (:func:`laplace_uniforms`, :func:`unit_radius`,
+    :func:`scale_radius`, ``displace_batch``), histograms both output
+    clouds on a shared planar grid of ``cell_m`` cells, and returns
     the maximum |log(count0/count1)| over cells holding at least
     ``MIN_CELL_COUNT`` samples from both clouds.  For an
     (eps/R)-geo-indistinguishable mechanism this is bounded by
     (eps/R) * d(x0, x1) up to sampling noise.  A cell size that is not
     finite and positive, or no such cell at all (nothing was compared),
     raises ValueError.
+
+    The check covers the sampler only, not the snapped release: a release
+    sizes R and picks the candidate links around the true point, and snaps
+    the noisy point onto them, none of which is simulated here.
 
     Results are statistically meaningful from roughly 1e5 samples up.
     """
@@ -225,7 +207,9 @@ def verify_geo_indistinguishability(
     anchor = GeoPoint(0.5 * (x0.lat + x1.lat), 0.5 * (x0.lon + x1.lon))
 
     def cell_counts(p: GeoPoint) -> dict[int, int]:
-        lat, lon = perturb_batch(p, params, rng, n_samples)
+        theta, u = laplace_uniforms(rng, n_samples)
+        r = scale_radius(unit_radius(u), params.epsilon) * params.radius_m
+        lat, lon = displace_batch(p, r, theta)
         xs, ys = project_batch(lat, lon, anchor)
         ix = np.floor(xs / cell_m).astype(np.int64)
         iy = np.floor(ys / cell_m).astype(np.int64)

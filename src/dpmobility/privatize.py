@@ -26,8 +26,14 @@ one epsilon; it scales each planned radius by 1/epsilon, snaps and
 re-routes, so an epsilon sweep builds one plan and draws from it once per
 epsilon.
 
-Adding or removing a single link traversal changes the aggregated output by
-one count, so noise is calibrated for unit sensitivity.
+What the noise guarantees: each fired end's noisy point is planar Laplace
+at eps/R per metre around the true point, which for a fixed R is
+(eps/R)-geo-indistinguishable.  But R and the candidate set come from
+:func:`select_radius` around the true point, and the noisy point is then
+snapped onto that set, so the snapped release has no end-to-end bound yet.
+Measured on two true points 30 m apart on one link, the worst |log ratio|
+of the snapped nodes' frequencies was 0.94 at epsilon 0.1, against an
+(eps/R)*d of 0.075.
 
 Three removal-style reference anonymizers operate on the same frozen
 counts: dropping whole trips with unique endpoints, clipping unique

@@ -28,8 +28,9 @@ from dpmobility.noise import (
     INV_E,
     NoiseParams,
     lambert_w_minus1,
+    laplace_uniforms,
     radial_cdf,
-    sample_planar_laplace,
+    unit_radius,
     verify_geo_indistinguishability,
 )
 from dpmobility.privatize import PrivacyConfig, plan_endpoints, privatize_trajectories
@@ -94,7 +95,8 @@ class TestAcceptance:
     def test_01_sampler_correctness(self):
         started = time.perf_counter()
         rng = np.random.default_rng(12345)
-        r, theta = sample_planar_laplace(NoiseParams(1.0, 1.0), rng, size=10**6)
+        theta, p = laplace_uniforms(rng, 10**6)
+        r = unit_radius(p)  # the radius at epsilon 1 and R = 1 m
         mean_r = float(r.mean())
         rs = np.sort(r)
         n = len(rs)

@@ -197,13 +197,18 @@ class TestPrivatizeCommand:
         ("trips", "bad.csv",
          "device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00Z,37.8," + "1" * 200_000 + "\n",
          ":2"),
+        ("trips", "bad.csv",
+         b"device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00Z,37.8,-122.3\xff\n", ""),
+        ("network", "bad.geojson",
+         b"\xff" + one_link_geojson([[-122.3, 37.8], [-122.3, 37.801]]).encode(), ""),
     ], ids=["bad-timestamp", "short-trip-row", "naive-timestamp", "long-trip-row",
             "short-network-row", "null-coordinate", "fractional-fc", "fc-9", "zero-speed",
-            "empty-network", "features-null", "features-number", "huge-field"])
+            "empty-network", "features-null", "features-number", "huge-field",
+            "trips-not-utf8", "geojson-not-utf8"])
     def test_malformed_trips_exit_2(self, inputs, tmp_path, capsys, kind, name, text, where):
         _, net, trips, _ = inputs
         bad = tmp_path / name
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         files = {"network": net, "trips": trips, kind: bad}
         code = main([
             "privatize", "--network", str(files["network"]), "--trips", str(files["trips"]),

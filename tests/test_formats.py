@@ -198,6 +198,32 @@ class TestTripFiles:
             formats.load_trips_csv(path)
 
 
+NOT_UTF8 = {
+    "trips-row": ("trips.csv", formats.load_trips_csv,
+                  b"device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00Z,37.8,-122.3\xff\n"),
+    # past the first decoded chunk, where a row was already being read
+    "trips-row-500": ("trips.csv", formats.load_trips_csv,
+                      b"device_id,timestamp,lat,lon\n"
+                      + b"d1,2026-01-06T21:40:00Z,37.8,-122.3\n" * 498
+                      + b"d1,2026-01-06T21:40:00Z,37.8,-122.3\xff\n"
+                      + b"d1,2026-01-06T21:40:00Z,37.8,-122.3\n" * 500),
+    "report-preamble": ("report.csv", formats.load_report_csv, b"# trips_in=\xff\n"),
+    "network-csv": ("net.csv", formats.load_network, b"\xffid,from_node\n"),
+    "geojson": ("net.geojson", formats.load_network,
+                b'\xff{"type": "FeatureCollection", "features": []}'),
+}
+
+
+@pytest.mark.parametrize("name, load, data", NOT_UTF8.values(), ids=list(NOT_UTF8))
+def test_not_utf8_reports_the_path(tmp_path, name, load, data):
+    # Text is decoded in chunks, so no line is claimed.
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(InputFormatError, match="not UTF-8 text: byte 0xff") as err:
+        load(path)
+    assert (err.value.path, err.value.line) == (str(path), None)
+
+
 class TestAggregationAndReportFiles:
     def test_aggregation_round_trip(self, setup):
         net, _, truth, tmp = setup

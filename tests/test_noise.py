@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmobility.geometry import GeoPoint, haversine_distance
+from dpmobility import noise
+from dpmobility.adaptive import BufferResult
+from dpmobility.geometry import GeoPoint, displace, displace_batch, haversine_distance
 from dpmobility.noise import (
     INV_E,
     NoiseParams,
     SeedRule,
-    inverse_cdf_radius,
     lambert_w_minus1,
+    laplace_uniforms,
     perturb,
-    perturb_batch,
     radial_cdf,
-    sample_planar_laplace,
     scale_radius,
     unit_radius,
+    validate_epsilon,
     verify_geo_indistinguishability,
 )
+from dpmobility.privatize import FiredEnd
 
 
 def newton_lambert_w(x: float) -> float:
@@ -72,23 +74,35 @@ class TestLambertW:
                 lambert_w_minus1(bad)
 
 
+def radius(epsilon: float, p):
+    """The radius a draw takes from the uniform ``p`` at ``epsilon``."""
+    return scale_radius(unit_radius(p), epsilon)
+
+
+def cloud(params: NoiseParams, rng: np.random.Generator, n: int | None):
+    """``n`` draws (one scalar draw for ``None``) as the release makes them:
+    radii in metres and angles."""
+    theta, p = laplace_uniforms(rng, n)
+    return radius(params.epsilon, p) * params.radius_m, theta
+
+
 class TestInverseCdf:
     def test_p_zero(self):
-        assert inverse_cdf_radius(1.0, 0.0) == 0.0
+        assert radius(1.0, 0.0) == 0.0
 
     def test_unit_radius_point(self):
         # (1 + r) * exp(-r) == 2/e at r == 1
         p = 1.0 - 2.0 / math.e
-        assert inverse_cdf_radius(1.0, p) == pytest.approx(1.0, abs=1e-9)
+        assert unit_radius(p) == pytest.approx(1.0, abs=1e-9)
 
     def test_scales_inversely_with_epsilon(self):
         p = 1.0 - 2.0 / math.e
-        assert inverse_cdf_radius(2.0, p) == pytest.approx(0.5, abs=1e-9)
+        assert radius(2.0, p) == pytest.approx(0.5, abs=1e-9)
 
     def test_round_trip_grid(self):
         ps = np.arange(0.01, 1.0, 0.01)
         for eps in (0.05, 0.5, 1.0, 15.0):
-            gammas = inverse_cdf_radius(eps, ps)
+            gammas = radius(eps, ps)
             assert np.abs(radial_cdf(eps, gammas) - ps).max() < 1e-9
 
     @given(st.floats(0.0, 0.999), st.floats(0.0, 0.999))
@@ -98,48 +112,50 @@ class TestInverseCdf:
         if abs(p2 - p1) <= 1e-12:
             return
         lo, hi = sorted((p1, p2))
-        assert inverse_cdf_radius(1.0, lo) < inverse_cdf_radius(1.0, hi)
+        assert unit_radius(lo) < unit_radius(hi)
 
     def test_unit_radius_array_matches_scalars(self):
-        # A plan evaluates all fired ends in one array call; each element
-        # must be bit-identical to the one-element call perturb makes.
+        # A plan evaluates all fired ends in one array call and a verifier
+        # cloud scales an array; each element must be bit-identical to the
+        # one-element calls perturb makes.
         ps = np.concatenate([
             np.random.default_rng(31).uniform(0.0, 1.0, 5000),
             [0.0, 1e-300, 1e-12, 0.5, 1.0 - 2.0 / math.e, np.nextafter(1.0, 0.0)],
         ])
         units = unit_radius(ps)
-        for p, unit in zip(ps.tolist(), units.tolist()):
-            assert unit == unit_radius(p)
-            for eps in (0.05, 1.0, 15.0):
-                assert float(scale_radius(unit, eps)) == inverse_cdf_radius(eps, p)
+        for eps in (0.05, 1.0, 15.0):
+            radii = scale_radius(units, eps).tolist()
+            for p, unit, r in zip(ps.tolist(), units.tolist(), radii):
+                assert unit == unit_radius(p)
+                assert float(scale_radius(unit, eps)) == r
 
     def test_domain(self):
         with pytest.raises(ValueError):
             unit_radius(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
-            inverse_cdf_radius(1.0, 1.0)
+            unit_radius(1.0)
         with pytest.raises(ValueError):
-            inverse_cdf_radius(1.0, -0.1)
+            unit_radius(-0.1)
         for epsilon in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                inverse_cdf_radius(epsilon, 0.5)
+                validate_epsilon(epsilon)
 
 
 class TestSampler:
     def test_deterministic_for_fixed_seed(self):
-        params = NoiseParams(1.0, 10.0)
-        a = sample_planar_laplace(params, np.random.default_rng(77))
-        b = sample_planar_laplace(params, np.random.default_rng(77))
+        a = laplace_uniforms(np.random.default_rng(77))
+        b = laplace_uniforms(np.random.default_rng(77))
         assert a == b
+        assert unit_radius(a[1]) == unit_radius(b[1])
 
     def test_radius_scaling(self):
-        r1, t1 = sample_planar_laplace(NoiseParams(1.0, 1.0), np.random.default_rng(3))
-        r2, t2 = sample_planar_laplace(NoiseParams(1.0, 50.0), np.random.default_rng(3))
+        r1, t1 = cloud(NoiseParams(1.0, 1.0), np.random.default_rng(3), None)
+        r2, t2 = cloud(NoiseParams(1.0, 50.0), np.random.default_rng(3), None)
         assert t1 == t2
         assert r2 == pytest.approx(50.0 * r1)
 
     def test_mean_and_theta_range(self):
-        r, theta = sample_planar_laplace(NoiseParams(1.0, 1.0), np.random.default_rng(5), size=200_000)
+        r, theta = cloud(NoiseParams(1.0, 1.0), np.random.default_rng(5), 200_000)
         assert r.mean() == pytest.approx(2.0, abs=0.02)
         assert theta.min() >= 0.0 and theta.max() < 2.0 * math.pi
 
@@ -174,9 +190,8 @@ class TestSeedRule:
 
     def test_generator_reproducible(self):
         rule = SeedRule(7)
-        params = NoiseParams(1.0, 25.0)
-        a = sample_planar_laplace(params, rule.generator("link-9", "origin"))
-        b = sample_planar_laplace(params, rule.generator("link-9", "origin"))
+        a = laplace_uniforms(rule.generator("link-9", "origin"))
+        b = laplace_uniforms(rule.generator("link-9", "origin"))
         assert a == b
 
 
@@ -190,7 +205,8 @@ class TestPerturb:
 
     def test_empirical_mean_is_centered(self):
         p = GeoPoint(37.8, -122.3)
-        lat, lon = perturb_batch(p, NoiseParams(1.0, 50.0), np.random.default_rng(13), 100_000)
+        lat, lon = displace_batch(p, *cloud(NoiseParams(1.0, 50.0), np.random.default_rng(13),
+                                            100_000))
         # isotropy: mean displacement ~ 0 within 3 standard errors
         se_m = (2.0 * 50.0) / math.sqrt(len(lat))  # std(r)/sqrt(n) upper bound per axis
         mean_point = GeoPoint(float(lat.mean()), float(lon.mean()))
@@ -198,7 +214,8 @@ class TestPerturb:
 
     def test_median_displacement(self):
         p = GeoPoint(37.8, -122.3)
-        lat, lon = perturb_batch(p, NoiseParams(1.0, 100.0), np.random.default_rng(17), 120_000)
+        lat, lon = displace_batch(p, *cloud(NoiseParams(1.0, 100.0), np.random.default_rng(17),
+                                            120_000))
         dists = np.array([
             haversine_distance(p, GeoPoint(float(a), float(b)))
             for a, b in zip(lat[:20_000], lon[:20_000])
@@ -207,8 +224,7 @@ class TestPerturb:
         assert np.median(dists) == pytest.approx(167.83, rel=0.02)
 
     def test_shell_counts_decay(self):
-        p = GeoPoint(37.8, -122.3)
-        r, _ = sample_planar_laplace(NoiseParams(1.0, 100.0), np.random.default_rng(19), size=200_000)
+        r, _ = cloud(NoiseParams(1.0, 100.0), np.random.default_rng(19), 200_000)
         shells = np.floor(r / 100.0).astype(int)
         counts = np.bincount(shells)
         peak = counts.argmax()
@@ -229,8 +245,6 @@ class TestVerifier:
 
     def test_monotone_in_epsilon(self):
         x0 = GeoPoint(37.8, -122.3)
-        from dpmobility.geometry import displace
-
         x1 = displace(x0, 100.0, 0.0)
         ratios = [
             verify_geo_indistinguishability(
@@ -242,10 +256,30 @@ class TestVerifier:
         for ratio, bound in zip(ratios, bounds):
             assert ratio <= bound + 0.45  # wider slack at this sample size
 
+    def test_first_cloud_point_is_a_release_draw(self, monkeypatch):
+        # The checker draws as a release does: the first point of x0's cloud
+        # is the noisy point of a fired end at x0 given the same uniforms.
+        clouds = []
+
+        def recording(origin, r, theta):
+            clouds.append(displace_batch(origin, r, theta))
+            return clouds[-1]
+
+        monkeypatch.setattr(noise, "displace_batch", recording)
+        x0 = GeoPoint(37.8, -122.3)
+        epsilon, radius_m, n = 0.7, 80.0, 20_000
+        verify_geo_indistinguishability(
+            x0, displace(x0, 50.0, 1.0), NoiseParams(epsilon, radius_m), n, 20.0, seed=5
+        )
+        theta, p = laplace_uniforms(np.random.default_rng(5), n)
+        fired = FiredEnd(x0, BufferResult(radius_m, frozenset(), 1), float(theta[0]),
+                         unit_radius(float(p[0])))
+        lat, lon = clouds[0]
+        got = GeoPoint(float(lat[0]), float(lon[0]))
+        assert [x.hex() for x in got] == [x.hex() for x in fired.noisy_point(epsilon)]
+
     def test_validates_separation(self):
         x0 = GeoPoint(37.8, -122.3)
-        from dpmobility.geometry import displace
-
         x1 = displace(x0, 2000.0, 0.0)
         with pytest.raises(ValueError):
             verify_geo_indistinguishability(x0, x1, NoiseParams(1.0, 100.0), 1000, 20.0)
@@ -259,8 +293,6 @@ class TestVerifier:
     def test_nothing_compared_is_an_error(self):
         # 200 draws per point leave no 20 m cell with 50 samples from both.
         x0 = GeoPoint(37.8, -122.3)
-        from dpmobility.geometry import displace
-
         x1 = displace(x0, 1000.0, 0.0)
         with pytest.raises(ValueError, match="nothing was compared"):
             verify_geo_indistinguishability(x0, x1, NoiseParams(1.0, 100.0), 200, 20.0)
