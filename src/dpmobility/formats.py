@@ -156,15 +156,20 @@ def _link_from_properties(props: dict, geometry: tuple[GeoPoint, ...]) -> Link:
 
 
 def _network(path: str | Path, links: Sequence[Link]) -> RoadNetwork:
-    """Network of ``links``; each node sits at the first link end naming it."""
+    """Network of ``links``; each node sits at the link ends naming it,
+    which must all lie at exactly one position."""
     nodes: dict[NodeId, GeoPoint] = {}
     by_id: dict[LinkId, Link] = {}
     for link in links:
         if link.id in by_id:
             raise InputFormatError(str(path), None, f"duplicate link id {link.id!r}")
         by_id[link.id] = link
-        nodes.setdefault(link.from_node, link.geometry[0])
-        nodes.setdefault(link.to_node, link.geometry[-1])
+        for node, point in ((link.from_node, link.geometry[0]), (link.to_node, link.geometry[-1])):
+            if nodes.setdefault(node, point) != point:
+                raise InputFormatError(
+                    str(path), None, f"link {link.id!r} places node {node!r} at "
+                    f"{tuple(point)}, another link at {tuple(nodes[node])}"
+                )
     try:
         return RoadNetwork(nodes, by_id)
     except NetworkError as e:  # a file with no links has no nodes
@@ -177,7 +182,8 @@ def load_network_geojson(path: str | Path) -> RoadNetwork:
     Required feature properties: id, from, to, fc, speed_mps; optional:
     length_m (computed from the geometry when absent).  Other properties
     are ignored.  Node positions come from the first/last geometry
-    vertices.
+    vertices; two links that place one node at different positions are
+    rejected.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -453,8 +459,3 @@ def write_manifest(
         "outputs": {Path(p).name: sha256_file(p) for p in outputs},
     }
     _dump_json(manifest, path)
-
-
-def read_manifest(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)

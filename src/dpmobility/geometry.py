@@ -65,21 +65,11 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
 def project(p: GeoPoint, anchor: GeoPoint) -> PlanarPoint:
     """Equirectangular projection of ``p`` into the frame around ``anchor``.
 
-    x grows east, y grows north.  The inverse is :func:`unproject`; the
-    round trip is exact up to floating-point rounding.
+    x grows east, y grows north.
     """
     x = EARTH_RADIUS_M * math.radians(p.lon - anchor.lon) * math.cos(math.radians(anchor.lat))
     y = EARTH_RADIUS_M * math.radians(p.lat - anchor.lat)
     return PlanarPoint(x, y, anchor)
-
-
-def unproject(p: PlanarPoint) -> GeoPoint:
-    """Algebraic inverse of :func:`project` for the same anchor."""
-    lat = p.anchor.lat + math.degrees(p.y / EARTH_RADIUS_M)
-    lon = p.anchor.lon + math.degrees(
-        p.x / (EARTH_RADIUS_M * math.cos(math.radians(p.anchor.lat)))
-    )
-    return GeoPoint(lat, lon)
 
 
 def project_batch(lats, lons, anchor: GeoPoint) -> tuple[np.ndarray, np.ndarray]:

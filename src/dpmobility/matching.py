@@ -14,6 +14,7 @@ snapped nodes.  :func:`match_trajectory` is both steps for one trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Collection, Sequence
 
@@ -36,8 +37,8 @@ class MatchConfig:
     max_node_skip: int = 3
 
     def __post_init__(self):
-        if not (self.snap_radius_m > 0.0):
-            raise ValueError(f"snap radius must be positive: {self.snap_radius_m}")
+        if not (0.0 < self.snap_radius_m < math.inf):
+            raise ValueError(f"snap radius must be finite and positive: {self.snap_radius_m}")
         if self.max_node_skip < 0:
             raise ValueError("max_node_skip must be >= 0")
 

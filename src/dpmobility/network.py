@@ -114,17 +114,11 @@ class RoadNetwork:
         self.links: dict[LinkId, Link] = dict(links)
         self._validate()
 
-        adjacency: dict[NodeId, list[LinkId]] = {n: [] for n in self.nodes}
+        # Each node's out-links as (link id, head node, length), by link id.
+        self._out: dict[NodeId, list[tuple[LinkId, NodeId, float]]] = {n: [] for n in self.nodes}
         for lid in sorted(self.links):
-            adjacency[self.links[lid].from_node].append(lid)
-        self.adjacency: dict[NodeId, tuple[LinkId, ...]] = {
-            n: tuple(out) for n, out in adjacency.items()
-        }
-        # (link id, head node, length) triples, presorted for the heap.
-        self._out: dict[NodeId, tuple[tuple[LinkId, NodeId, float], ...]] = {
-            n: tuple((lid, self.links[lid].to_node, self.links[lid].length_m) for lid in out)
-            for n, out in self.adjacency.items()
-        }
+            link = self.links[lid]
+            self._out[link.from_node].append((lid, link.to_node, link.length_m))
 
         # Search outcomes by (from node, to node): the link path, or None
         # when there is none.  The network never changes, so each pair is
@@ -409,9 +403,6 @@ class RoadNetwork:
                 if head not in settled:
                     heapq.heappush(heap, (dist + length, path + (lid,), head))
         return None
-
-    def path_length_m(self, links: list[LinkId] | tuple[LinkId, ...]) -> float:
-        return sum(self.links[lid].length_m for lid in links)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

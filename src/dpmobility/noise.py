@@ -117,12 +117,6 @@ def lambert_w_minus1(x):
     return float(w[0]) if scalar else w
 
 
-def radial_cdf(epsilon: float, r):
-    """CDF of the planar Laplace radial marginal: 1 - (1 + eps*r)*exp(-eps*r)."""
-    er = epsilon * np.asarray(r, dtype=float)
-    return 1.0 - (1.0 + er) * np.exp(-er)
-
-
 def unit_radius(p):
     """Inverse radial CDF at epsilon 1: ``-(W_-1((p - 1)/e) + 1)``.
 

@@ -14,7 +14,7 @@ from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Sequence
 
 from .geometry import GeoPoint, validate_geopoint
-from .network import LinkId, RoadNetwork
+from .network import LinkId
 
 DEFAULT_TRIP_GAP_S = 300.0
 # Dataset region default; day-of-week boundaries follow this offset.
@@ -74,12 +74,6 @@ class LinkTrajectory:
     def __post_init__(self):
         if len(self.links) < 1:
             raise ValueError("a link trajectory needs at least 1 link")
-
-    def is_connected(self, net: RoadNetwork) -> bool:
-        return all(
-            net.links[a].to_node == net.links[b].from_node
-            for a, b in zip(self.links, self.links[1:])
-        )
 
 
 def validate_trip_gap(gap_s: float) -> None:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpmobility
@@ -47,6 +49,43 @@ def make_network(nodes_m: dict[str, tuple[float, float]],
             speed_mps=attrs.get("speed_mps", 10.0),
         )
     return RoadNetwork(nodes, links)
+
+
+def random_network(rng: np.random.Generator, n_nodes: int, base: GeoPoint,
+                   span_m: float = 2000.0) -> RoadNetwork:
+    """Random digraph: each node pair gets a link with probability 0.4,
+    and that link a reverse with probability 0.7; random classes."""
+    nodes_m = {
+        f"n{i}": (float(rng.uniform(0, span_m)), float(rng.uniform(0, span_m)))
+        for i in range(n_nodes)
+    }
+    edges = []
+    k = 0
+    for a, b in itertools.combinations(sorted(nodes_m), 2):
+        if rng.random() < 0.4:
+            edges.append((f"e{k:03d}", a, b, {"fc": int(rng.integers(1, 6))}))
+            k += 1
+            if rng.random() < 0.7:
+                edges.append((f"e{k:03d}", b, a, {"fc": int(rng.integers(1, 6))}))
+                k += 1
+    if not edges:
+        names = sorted(nodes_m)
+        edges.append(("e000", names[0], names[1]))
+    return make_network(nodes_m, edges, base)
+
+
+def integer_length_network(rng: np.random.Generator, n_nodes: int) -> RoadNetwork:
+    """Random digraph on a 100 m lattice whose links have whole-100 m lengths."""
+    cells = rng.choice(16, size=n_nodes, replace=False)
+    nodes_m = {f"n{i}": (100.0 * (c % 4), 100.0 * (c // 4)) for i, c in enumerate(cells)}
+    points = {nid: offset_point(BASE, x, y) for nid, (x, y) in nodes_m.items()}
+    edges = []
+    for a, b in itertools.permutations(sorted(nodes_m), 2):
+        if rng.random() < 0.45:
+            chord = haversine_distance(points[a], points[b])
+            length = 100.0 * (math.ceil(chord / 100.0) + int(rng.integers(0, 2)))
+            edges.append((f"e{len(edges):03d}", a, b, {"length_m": length}))
+    return make_network(nodes_m, edges)
 
 
 def grid3x3(spacing: float = 100.0) -> RoadNetwork:

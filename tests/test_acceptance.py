@@ -9,7 +9,6 @@ seed 42.
 import itertools
 import math
 import time
-from collections import Counter
 from datetime import date
 
 import numpy as np
@@ -29,7 +28,6 @@ from dpmobility.noise import (
     NoiseParams,
     lambert_w_minus1,
     laplace_uniforms,
-    radial_cdf,
     unit_radius,
     verify_geo_indistinguishability,
 )
@@ -37,8 +35,8 @@ from dpmobility.privatize import PrivacyConfig, plan_endpoints, privatize_trajec
 from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 from dpmobility.trajectories import local_day_hour
 
-from conftest import child_env, offset_point, trip_along_route
-from test_network import brute_force_within, enumerate_simple_paths, random_network
+import reference
+from conftest import child_env, offset_point, random_network, trip_along_route
 
 DAYS = tuple(
     date.fromisoformat(d)
@@ -100,7 +98,7 @@ class TestAcceptance:
         mean_r = float(r.mean())
         rs = np.sort(r)
         n = len(rs)
-        cdf = radial_cdf(1.0, rs)
+        cdf = reference.radial_cdf(1.0, rs)
         ecdf_hi = np.arange(1, n + 1) / n
         ks = float(max(np.abs(ecdf_hi - cdf).max(), np.abs(ecdf_hi - 1.0 / n - cdf).max()))
         counts, _ = np.histogram(theta, bins=36, range=(0.0, 2.0 * math.pi))
@@ -274,7 +272,7 @@ class TestAcceptance:
             center = offset_point(some_node, float(rng.uniform(-300, 2300)),
                                   float(rng.uniform(-300, 2300)))
             radius = float(rng.uniform(0.0, 1200.0))
-            if net.links_within(center, radius) != brute_force_within(net, center, radius):
+            if net.links_within(center, radius) != reference.within(net, center, radius):
                 mismatches += 1
 
         # shortest paths vs exhaustive enumeration on small graphs
@@ -283,7 +281,7 @@ class TestAcceptance:
             net = random_network(np.random.default_rng(2000 + seed), 7,
                                  GeoPoint(37.8, 11.0), span_m=1000.0)
             for src, dst in itertools.permutations(sorted(net.nodes), 2):
-                paths = enumerate_simple_paths(net, src, dst)
+                paths = reference.simple_paths(net, src, dst)
                 if not paths:
                     try:
                         net.shortest_path(src, dst)
@@ -291,19 +289,15 @@ class TestAcceptance:
                     except NoPathError:
                         pass
                     continue
-                got = net.path_length_m(net.shortest_path(src, dst))
-                best = min(net.path_length_m(p) for p in paths)
+                got = reference.path_length(net, net.shortest_path(src, dst))
+                best = min(reference.path_length(net, p) for p in paths)
                 if not math.isclose(got, best, rel_tol=1e-12):
                     sp_ok = False
 
         # link tally vs nested-loop oracle
         _, truth = corpus
         sample = truth[:400]
-        oracle = Counter()
-        for trip in sample:
-            for link in trip.links:
-                oracle[link] += 1
-        tally_ok = compute_link_counts(sample) == dict(oracle)
+        tally_ok = compute_link_counts(sample) == reference.link_counts(sample)
 
         # matcher recovery
         cfg5 = SynthTripConfig(n_trips=120, n_devices=80, days=DAYS[:1],

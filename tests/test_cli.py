@@ -113,7 +113,7 @@ class TestPrivatizeCommand:
         assert all(p["source"] == "dp-ani" for p in props)
         report = formats.load_report_csv(out / "privatization_report.csv")
         assert report.trips_in == 240
-        manifest = formats.read_manifest(out / "manifest.json")
+        manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {
             "privatized_aggregation.csv", "privatized_overlay.geojson",
             "privatization_report.csv",
@@ -399,6 +399,16 @@ class TestAggregateAndMetrics:
         ]) == 0
         counts, source = formats.load_aggregation_csv(out / "aggregation.csv")
         assert counts and source == "raw"
+
+    def test_infinite_snap_radius_exit_2(self, inputs, tmp_path, capsys):
+        _, net, trips, _ = inputs
+        out = tmp_path / "agg"
+        assert main([
+            "aggregate", "--network", str(net), "--trips", str(trips),
+            "--snap-radius", "inf", "--out", str(out),
+        ]) == 2
+        assert "snap radius" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metrics_prints_values(self, inputs):
         _, net, trips, _ = inputs

@@ -114,6 +114,28 @@ class TestNetworkFiles:
         with pytest.raises(InputFormatError, match="duplicate link id"):
             formats.load_network(path)
 
+    @pytest.mark.parametrize("suffix", [".csv", ".geojson"])
+    def test_node_at_two_positions_rejected(self, tmp_path, suffix):
+        # Link b starts at n2, 1.1 km north of where link a ends at n2.
+        path = tmp_path / f"moved{suffix}"
+        ends = {"a": ("n1", (37.80, -122.30), "n2", (37.80, -122.299)),
+                "b": ("n2", (37.81, -122.299), "n1", (37.80, -122.30))}
+        if suffix == ".csv":
+            path.write_text(",".join(formats.NETWORK_CSV_COLUMNS) + "\n" + "".join(
+                f"{lid},{u},{v},{p[0]},{p[1]},{q[0]},{q[1]},3,10.0,\n"
+                for lid, (u, p, v, q) in ends.items()
+            ))
+        else:
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+                {"type": "Feature",
+                 "geometry": {"type": "LineString", "coordinates": [[p[1], p[0]], [q[1], q[0]]]},
+                 "properties": {"id": lid, "from": u, "to": v, "fc": 3, "speed_mps": 10.0}}
+                for lid, (u, p, v, q) in ends.items()
+            ]}))
+        with pytest.raises(InputFormatError, match="link 'b' places node 'n2'") as err:
+            formats.load_network(path)
+        assert (err.value.path, err.value.line) == (str(path), None)
+
     @pytest.mark.parametrize("props", [
         {"fc": 3.7}, {"fc": 9}, {"fc": True}, {"speed_mps": math.inf}, {"length_m": math.inf},
     ], ids=["fractional-fc", "fc-9", "fc-true", "inf-speed", "inf-length"])
@@ -273,7 +295,7 @@ class TestManifest:
         formats.write_manifest(
             manifest_path, "test", {"seed": 1}, [out], [out], "0.1.0"
         )
-        doc = formats.read_manifest(manifest_path)
+        doc = json.loads(manifest_path.read_text())
         assert doc["command"] == "test"
         assert doc["config"] == {"seed": 1}
         assert doc["inputs"]["net.geojson"] == formats.sha256_file(out)

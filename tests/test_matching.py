@@ -8,6 +8,7 @@ from dpmobility.privatize import match_corpus
 from dpmobility.synth import SynthTripConfig, generate_trips
 from dpmobility.trajectories import GpsSample, GpsTrajectory, LinkTrajectory
 
+import reference
 from conftest import BASE, local_epoch, make_network, offset_point, trip_through_nodes
 
 
@@ -28,7 +29,7 @@ class TestMatchTrajectory:
         lt = match_trajectory(trip, net)
         assert lt.links == ("f0", "f1")
         assert lt.device == trip.device
-        assert lt.is_connected(net)
+        assert reference.is_connected(net, lt.links)
 
     def test_skipped_interior_node_filled_by_shortest_path(self):
         net = path_network()
@@ -64,7 +65,8 @@ class TestMatchTrajectory:
             match_trajectory(trip, net, MatchConfig(max_node_skip=3))
 
     def test_snap_radius_must_be_positive(self):
-        for radius in (0.0, -5.0, float("nan")):
+        # An infinite radius would measure every sample against every node.
+        for radius in (0.0, -5.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 MatchConfig(snap_radius_m=radius)
 
@@ -97,7 +99,7 @@ class TestMatchTrajectory:
         total = hits = 0
         for g, t in zip(corpus, truth):
             lt = match_trajectory(g, city20)
-            assert lt.is_connected(city20)
+            assert reference.is_connected(city20, lt.links)
             hits += len(set(lt.links) & set(t.links))
             total += len(t.links)
         assert hits / total >= 0.95
@@ -121,20 +123,9 @@ def trip_through_points(points, device: str) -> GpsTrajectory:
     )
 
 
-def match_each(corpus, net, cfg=MatchConfig()):
-    """The per-trip oracle for ``match_corpus``."""
-    out = []
-    for g in corpus:
-        try:
-            out.append(match_trajectory(g, net, cfg))
-        except UnmatchableError:
-            out.append(None)
-    return out
-
-
 class TestMatchCorpus:
     """One snapping pass over the whole corpus matches each trip exactly as
-    ``match_trajectory`` does alone, failures included."""
+    the reference matcher does alone, failures included."""
 
     def test_mixed_corpus_equals_per_trip_matching(self):
         # path_network plus a one-way link e -> f away from it.
@@ -156,7 +147,7 @@ class TestMatchCorpus:
             trip_through_points([at["e"], at["f"], off, off, off], "good-3"),
         ]
         matched, unmatchable = match_corpus(corpus, net)
-        assert matched == match_each(corpus, net)
+        assert matched == [reference.match(net, g) for g in corpus]
         assert [m is not None for m in matched] == [True, False, True, False, False, False, True]
         assert unmatchable == 4
         assert matched[2].links == ("r2", "r1")
@@ -168,7 +159,7 @@ class TestMatchCorpus:
         # A snap radius under the jitter leaves about half the trips unmatchable.
         cfg = MatchConfig(snap_radius_m=30.0)
         matched, unmatchable = match_corpus(corpus, city20, cfg)
-        expected = match_each(corpus, city20, cfg)
+        expected = [reference.match(city20, g, cfg) for g in corpus]
         assert matched == expected
         assert unmatchable == expected.count(None)
         assert 0 < unmatchable < len(corpus)
@@ -233,7 +224,7 @@ class TestRebuildTrajectory:
         head_anchor = city20.links[route[0]].to_node
         expected = city20.shortest_path(new_origin, head_anchor) + list(route[1:])
         assert list(rebuilt.links) == expected
-        assert rebuilt.is_connected(city20)
+        assert reference.is_connected(city20, rebuilt.links)
 
     def test_both_ends_single_link_trip(self):
         net = path_network()
@@ -253,4 +244,5 @@ class TestRebuildTrajectory:
         for new_o in ("n002_002", "n004_001", "n003_003"):
             for new_d in (None, "n011_011", "n009_009"):
                 rebuilt = rebuild_trajectory(original, city20, new_o, new_d)
-                assert rebuilt.is_connected(city20)
+                assert reference.is_connected(city20, rebuilt.links)
+                assert rebuilt.links == reference.rebuild(city20, original.links, new_o, new_d)

@@ -1,4 +1,3 @@
-from collections import Counter
 from dataclasses import replace
 from datetime import date
 
@@ -31,6 +30,7 @@ from dpmobility.network import RoadNetwork
 from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 from dpmobility.trajectories import LinkTrajectory
 
+import reference
 from conftest import grid3x3, make_network
 
 MILE = 1609.344
@@ -84,8 +84,7 @@ class TestAggregate:
     def test_counts_match_oracle(self, city20):
         cfg = SynthTripConfig(n_trips=40, n_devices=20, days=(date(2026, 1, 6),), seed=21)
         _, truth = generate_trips(city20, cfg)
-        oracle = Counter(l for t in truth for l in t.links)
-        assert aggregate(truth).counts == dict(oracle)
+        assert aggregate(truth).counts == reference.link_counts(truth)
 
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
@@ -150,15 +149,7 @@ class TestUtility:
         cfg = SynthTripConfig(n_trips=40, n_devices=20, days=(date(2026, 1, 6),), seed=27)
         _, truth = generate_trips(net, cfg)
         for corpus in (truth, truth[::3], []):
-            got = utility(corpus, aggregate(corpus), net)
-            vmt = sum(net.links[lid].length_m for t in corpus for lid in t.links) / MILE
-            seconds = 0.0
-            for t in corpus:
-                seconds += sum(net.links[lid].length_m / net.links[lid].speed_mps
-                               for lid in t.links)
-            assert got["vmt_mi"] == vmt
-            assert got["vht_h"] == seconds / 3600.0
-            assert got["network_length_mi"] == network_length(aggregate(corpus), net)
+            assert utility(corpus, aggregate(corpus), net) == reference.utility(net, corpus)
 
 
 class TestIntersectionDensity:

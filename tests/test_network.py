@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 from datetime import date
@@ -16,37 +15,9 @@ from dpmobility.network import Link, RadiusScan, RoadNetwork
 from dpmobility.privatize import match_corpus
 from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 
-from conftest import BASE, grid3x3, make_network, offset_point
-
-
-def brute_force_within(net: RoadNetwork, center: GeoPoint, radius: float) -> set[str]:
-    return {lid for lid in net.links if net.distance_to_link(center, lid) <= radius}
-
-
-def random_network(rng: np.random.Generator, n_nodes: int, base: GeoPoint,
-                   span_m: float = 2000.0) -> RoadNetwork:
-    nodes_m = {
-        f"n{i}": (float(rng.uniform(0, span_m)), float(rng.uniform(0, span_m)))
-        for i in range(n_nodes)
-    }
-    edges = []
-    k = 0
-    for a, b in itertools.combinations(sorted(nodes_m), 2):
-        if rng.random() < 0.4:
-            edges.append((f"e{k:03d}", a, b, {"fc": int(rng.integers(1, 6))}))
-            k += 1
-            if rng.random() < 0.7:
-                edges.append((f"e{k:03d}", b, a, {"fc": int(rng.integers(1, 6))}))
-                k += 1
-    if not edges:
-        names = sorted(nodes_m)
-        edges.append(("e000", names[0], names[1]))
-    return make_network(nodes_m, edges, base)
-
-
-def brute_force_nearest_node(net: RoadNetwork, p: GeoPoint, within: float) -> str | None:
-    best = min((haversine_distance(p, q), nid) for nid, q in net.nodes.items())
-    return best[1] if best[0] <= within else None
+import reference
+from conftest import (BASE, grid3x3, integer_length_network, make_network, offset_point,
+                      random_network)
 
 
 def with_tie_and_dup(nodes: dict[str, GeoPoint], base: GeoPoint,
@@ -89,10 +60,12 @@ class TestValidation:
 
     def test_adjacency_consistent(self):
         net = grid3x3()
-        for nid, out in net.adjacency.items():
-            for lid in out:
-                assert net.links[lid].from_node == nid
-        assert sum(len(v) for v in net.adjacency.values()) == len(net.links)
+        for nid, out in net._out.items():
+            assert [lid for lid, _, _ in out] == sorted(lid for lid, _, _ in out)
+            for lid, head, length in out:
+                link = net.links[lid]
+                assert (link.from_node, link.to_node, link.length_m) == (nid, head, length)
+        assert sum(len(v) for v in net._out.values()) == len(net.links)
 
 
 class TestLinksWithin:
@@ -105,7 +78,7 @@ class TestLinksWithin:
         net = grid3x3()
         center = net.nodes["n001_001"]
         got = net.links_within(center, 60.0)
-        assert got == brute_force_within(net, center, 60.0)
+        assert got == reference.within(net, center, 60.0)
         assert len(got) == 8  # the incident directed links only
 
     def test_network_diameter_returns_everything(self):
@@ -129,7 +102,7 @@ class TestLinksWithin:
                 )
                 radius = float(rng.uniform(0, 1500))
                 assert net.links_within(center, radius) == \
-                    brute_force_within(net, center, radius)
+                    reference.within(net, center, radius)
 
 
 class TestNearestLink:
@@ -183,7 +156,7 @@ class TestNearestNode:
             queries.append((p, haversine_distance(p, nodes[f"n{rng.integers(40):02d}"])))
         mismatches = [
             (p, within) for p, within in queries
-            if net.nearest_node(p, within) != brute_force_nearest_node(net, p, within)
+            if net.nearest_node(p, within) != reference.nearest_node(net, p, within)
         ]
         assert mismatches == []
         assert net.nearest_node(mid, tie) == "t0"
@@ -195,7 +168,7 @@ class TestNearestNode:
         nodes = {"east": GeoPoint(0.0, 179.99), "west": GeoPoint(0.0, -179.999)}
         net = RoadNetwork(nodes, {})
         p = GeoPoint(0.0, 179.9995)
-        assert brute_force_nearest_node(net, p, 2000.0) == "west"
+        assert reference.nearest_node(net, p, 2000.0) == "west"
         assert net.nearest_node(p, within=2000.0) == "west"
         assert net.nearest_nodes([p, nodes["east"], GeoPoint(0.0, 179.0)], 2000.0) == \
             ["west", "east", None]
@@ -265,7 +238,7 @@ class TestNearestNodes:
                                         nodes[ids[exact_pick % len(ids)]]),
         }[within_kind]
 
-        expected = [brute_force_nearest_node(net, p, within) for p in points]
+        expected = [reference.nearest_node(net, p, within) for p in points]
         assert net.nearest_nodes(points, within) == expected
         assert [net.nearest_node(p, within) for p in points] == expected
 
@@ -301,7 +274,7 @@ class TestNearestNodes:
         assert net._half_width(center, radius) == math.inf
         points = [center, base] + list(net.nodes.values())
         assert net.nearest_nodes(points, radius) == \
-            [brute_force_nearest_node(net, p, radius) for p in points]
+            [reference.nearest_node(net, p, radius) for p in points]
 
     def test_nothing_snaps(self, city20):
         far = [offset_point(city20.nodes["n000_000"], -5000.0 - 10.0 * k, 300.0)
@@ -328,10 +301,10 @@ class TestRadiusQueriesAtHighLatitude:
             center = offset_point(base, float(rng.uniform(-1000, 7000)),
                                   float(rng.uniform(-1000, 7000)))
             radius = float(rng.uniform(0, DEFAULT_MAX_BUFFER_M))
-            assert net.links_within(center, radius) == brute_force_within(net, center, radius)
+            assert net.links_within(center, radius) == reference.within(net, center, radius)
             scan = RadiusScan(net, center)
             for r in sorted(rng.uniform(0, DEFAULT_MAX_BUFFER_M, 6)):
-                assert scan.within(float(r)) == brute_force_within(net, center, float(r))
+                assert scan.within(float(r)) == reference.within(net, center, float(r))
 
     @pytest.mark.parametrize("lat, far_north_m", [(75.0, -500_000.0), (75.0, 500_000.0),
                                                    (-75.0, 500_000.0)])
@@ -360,9 +333,9 @@ class TestRadiusQueriesAtHighLatitude:
         for name in (lid[1:] for lid in net.links):
             within = haversine_distance(center, net.nodes["c" + name])
             assert net.nearest_node(center, within) == \
-                brute_force_nearest_node(net, center, within)
+                reference.nearest_node(net, center, within)
             radius = net.distance_to_link(center, "t" + name)
-            expected = brute_force_within(net, center, radius)
+            expected = reference.within(net, center, radius)
             assert net.links_within(center, radius) == expected
             assert RadiusScan(net, center).within(radius) == expected
 
@@ -372,8 +345,8 @@ class TestRadiusQueriesAtHighLatitude:
         center = offset_point(base, 1000.0, 9000.0)  # about 2 km from the pole
         radius = DEFAULT_MAX_BUFFER_M
         assert net._cells_in_range(center, radius) == (net._cells_min, net._cells_max)
-        assert net.links_within(center, radius) == brute_force_within(net, center, radius)
-        assert RadiusScan(net, center).within(radius) == brute_force_within(net, center, radius)
+        assert net.links_within(center, radius) == reference.within(net, center, radius)
+        assert RadiusScan(net, center).within(radius) == reference.within(net, center, radius)
 
 
 class TestIndexBoxWidth:
@@ -436,27 +409,6 @@ class TestIndexBoxWidth:
         assert len(calls) / n <= 60.0  # measured 41
 
 
-def enumerate_simple_paths(net: RoadNetwork, src: str, dst: str) -> list[list[str]]:
-    """All simple directed link paths src -> dst, for the oracle."""
-    paths = []
-
-    def walk(node, seen, acc):
-        if node == dst:
-            paths.append(list(acc))
-            return
-        for lid in net.adjacency[node]:
-            head = net.links[lid].to_node
-            if head not in seen:
-                seen.add(head)
-                acc.append(lid)
-                walk(head, seen, acc)
-                acc.pop()
-                seen.remove(head)
-
-    walk(src, {src}, [])
-    return paths
-
-
 class TestShortestPath:
     def test_same_node(self):
         net = grid3x3()
@@ -469,7 +421,7 @@ class TestShortestPath:
     def test_grid_corner_to_corner_manhattan(self):
         net = grid3x3()
         path = net.shortest_path("n000_000", "n002_002")
-        assert net.path_length_m(path) == pytest.approx(400.0)
+        assert reference.path_length(net, path) == pytest.approx(400.0)
         assert len(path) == 4
 
     def test_no_path(self):
@@ -487,14 +439,14 @@ class TestShortestPath:
             net = random_network(rng, 7, GeoPoint(37.8, 11.0), span_m=1000.0)
             nodes = sorted(net.nodes)
             for src, dst in itertools.permutations(nodes, 2):
-                all_paths = enumerate_simple_paths(net, src, dst)
+                all_paths = reference.simple_paths(net, src, dst)
                 if not all_paths:
                     with pytest.raises(NoPathError):
                         net.shortest_path(src, dst)
                     continue
                 got = net.shortest_path(src, dst)
-                got_len = net.path_length_m(got)
-                best = min(net.path_length_m(p) for p in all_paths)
+                got_len = reference.path_length(net, got)
+                best = min(reference.path_length(net, p) for p in all_paths)
                 assert got_len == pytest.approx(best, rel=1e-12)
 
     def test_deterministic_lexicographic_tie_break(self):
@@ -522,20 +474,23 @@ class TestShortestPath:
 
     def test_matches_lexicographic_oracle_with_ties(self):
         # Integer lengths on a coarse lattice make equal-length routes
-        # common, so the tie-break is exercised, not just the length.
+        # common, so the tie-break is exercised, not just the length.  The
+        # reference Dijkstra is held to the same exhaustive oracle.
         ties = 0
         for seed in range(8):
             rng = np.random.default_rng(200 + seed)
             net = integer_length_network(rng, 7)
             for src, dst in itertools.permutations(sorted(net.nodes), 2):
-                all_paths = enumerate_simple_paths(net, src, dst)
+                all_paths = reference.simple_paths(net, src, dst)
                 if not all_paths:
                     with pytest.raises(NoPathError):
                         net.shortest_path(src, dst)
+                    assert reference.shortest_path(net, src, dst) is None
                     continue
-                keyed = sorted((fold_length(net, p), tuple(p)) for p in all_paths)
+                keyed = sorted((reference.path_length(net, p), tuple(p)) for p in all_paths)
                 ties += len(keyed) > 1 and keyed[0][0] == keyed[1][0]
                 assert net.shortest_path(src, dst) == list(keyed[0][1])
+                assert reference.shortest_path(net, src, dst) == list(keyed[0][1])
         assert ties >= 30  # measured 42 of the pairs with a path
 
     def test_repeated_calls_return_equal_independent_lists(self, city20):
@@ -555,25 +510,6 @@ class TestShortestPath:
             assert net.shortest_path("a", "b") == ["e1"]
         with pytest.raises(NetworkError):
             net.shortest_path("a", "nope")
-
-
-def integer_length_network(rng: np.random.Generator, n_nodes: int) -> RoadNetwork:
-    """Random digraph on a 100 m lattice whose links have whole-100 m lengths."""
-    cells = rng.choice(16, size=n_nodes, replace=False)
-    nodes_m = {f"n{i}": (100.0 * (c % 4), 100.0 * (c // 4)) for i, c in enumerate(cells)}
-    points = {nid: offset_point(BASE, x, y) for nid, (x, y) in nodes_m.items()}
-    edges = []
-    for a, b in itertools.permutations(sorted(nodes_m), 2):
-        if rng.random() < 0.45:
-            chord = haversine_distance(points[a], points[b])
-            length = 100.0 * (math.ceil(chord / 100.0) + int(rng.integers(0, 2)))
-            edges.append((f"e{len(edges):03d}", a, b, {"length_m": length}))
-    return make_network(nodes_m, edges)
-
-
-def fold_length(net: RoadNetwork, path: list[str]) -> float:
-    """Path length summed in path order from 0.0, as the search adds it."""
-    return functools.reduce(lambda acc, lid: acc + net.links[lid].length_m, path, 0.0)
 
 
 class TestRouteMemo:

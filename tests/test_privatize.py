@@ -1,5 +1,3 @@
-import itertools
-from collections import Counter
 from dataclasses import replace
 from datetime import date
 
@@ -25,11 +23,12 @@ from dpmobility.privatize import (
     privatize_trajectories,
     trip_remove,
 )
-from dpmobility.synth import SynthTripConfig, generate_trips
-from dpmobility.geometry import GeoPoint
+from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
+from dpmobility.geometry import MAX_DISPLACEMENT_M, GeoPoint
 from dpmobility.trajectories import GpsSample, GpsTrajectory, LinkTrajectory, window_filter
 
-from conftest import local_epoch, trip_along_route
+import reference
+from conftest import local_epoch, make_network, trip_along_route, trip_through_nodes
 
 DAYS = ("2026-01-06", "2026-01-07", "2026-01-08", "2026-01-13", "2026-01-14", "2026-01-15")
 
@@ -57,12 +56,7 @@ class TestLinkCounts:
     def test_matches_nested_loop_oracle(self, city20):
         cfg = SynthTripConfig(n_trips=30, n_devices=20, days=(date(2026, 1, 6),), seed=4)
         _, truth = generate_trips(city20, cfg)
-        got = compute_link_counts(truth)
-        oracle = Counter()
-        for trip in truth:
-            for link in trip.links:
-                oracle[link] += 1
-        assert got == dict(oracle)
+        assert compute_link_counts(truth) == reference.link_counts(truth)
 
 
 class TestDetectRepeated:
@@ -88,13 +82,7 @@ class TestDetectRepeated:
         cfg = SynthTripConfig(n_trips=50, n_devices=12, days=(date(2026, 1, 6), date(2026, 1, 7)),
                               repeat_fraction=0.25, seed=6)
         _, truth = generate_trips(city20, cfg)
-        expected = set()
-        for i, j in itertools.combinations(range(len(truth)), 2):
-            a, b = truth[i], truth[j]
-            if (a.device == b.device and a.links[0] == b.links[0]
-                    and a.links[-1] == b.links[-1]):
-                expected.update((i, j))
-        assert detect_repeated_od(truth) == expected
+        assert detect_repeated_od(truth) == reference.repeated_od(truth)
 
     def test_none_entries_skipped(self):
         corpus = [lt(["a"], device="d1"), None, lt(["a"], device="d1")]
@@ -212,6 +200,58 @@ class TestPrivatizePipeline:
                     and new_counts.get(dec.original_link) == 1):
                 survivors += 1
         assert report.endpoints_unchanged_single_count == survivors
+
+
+class TestDrawExclusions:
+    """A trip the draw cannot release leaves no trace: it has no decisions
+    and none of its links is counted."""
+
+    def release(self, corpus, net, cfg, epsilon):
+        plan = plan_endpoints(corpus, net, cfg)
+        out, report = privatize_trajectories(plan, net, epsilon)
+        agg, whole = privatize_aggregate(corpus, net, cfg, epsilon)
+        assert whole == report
+        assert report.trips_in == report.trips_out + sum(report.excluded.values())
+        assert {d.trip for d in report.decisions} == set(out)
+        assert agg.counts == reference.link_counts(out.values())
+        return plan, out, report
+
+    def test_noise_out_of_range(self):
+        # At epsilon 1e-4 a typical end moves 2e4 * R: past 100 km for R above 5 m.
+        net = generate_city(SynthCityConfig(rows=8, cols=8))
+        corpus, _ = generate_trips(net, SynthTripConfig(n_trips=60, n_devices=30,
+                                                        days=(date(2026, 1, 6),), seed=3))
+        epsilon = 1e-4
+        plan, out, report = self.release(corpus, net, PrivacyConfig(), epsilon)
+        dropped = set(plan.trips) - set(out)
+        assert len(dropped) == report.excluded["noise_out_of_range"] == 14
+        assert report.excluded == {"noise_out_of_range": 14}
+        for i in plan.trips:
+            moves = [f.unit_radius / epsilon * f.buffer.radius_m
+                     for (j, _), f in plan.fired.items() if j == i]
+            assert (max(moves, default=0.0) > MAX_DISPLACEMENT_M) == (i in dropped)
+
+    def test_unmatchable_rebuild(self):
+        # One-way a -> b -> c -> d, and a one-way spur a -> e into a dead
+        # end.  The first trip's origin link is traversed once; a noisy
+        # origin that snaps to e cannot be routed back into b.
+        net = make_network(
+            {"a": (0, 0), "b": (100, 0), "c": (200, 0), "d": (300, 0), "e": (-30, 0)},
+            [("f0", "a", "b"), ("f1", "b", "c"), ("f2", "c", "d"), ("spur", "a", "e")],
+        )
+        corpus = [trip_through_nodes(net, ["a", "b", "c", "d"], DAYS[0], device="d1"),
+                  trip_through_nodes(net, ["b", "c", "d"], DAYS[0], device="d2", hh=14)]
+        outcomes = []
+        for seed in range(20):
+            cfg = PrivacyConfig(h1=1, h2=1, global_seed=seed)
+            plan, out, report = self.release(corpus, net, cfg, 1.0)
+            assert set(plan.fired) == {(0, ORIGIN)}
+            fired = plan.fired[0, ORIGIN]
+            assert fired.buffer.buffer_set_fc == {"f0", "spur"}
+            new_origin = reference.snap_noisy(net, fired.noisy_point(1.0), {"f0", "spur"})[1]
+            assert (new_origin == "e") == (report.excluded == {"unmatchable_rebuild": 1})
+            outcomes.append(new_origin)
+        assert set(outcomes) == {"a", "e"}
 
 
 class TestPrivacyConfig:
@@ -419,24 +459,6 @@ class TestBaselines:
 
 
 def assert_baselines_match_brute_force(corpus):
-    counts = compute_link_counts(corpus)
-
-    for t, got in zip(corpus, trip_remove(corpus)):
-        expect_drop = counts[t.links[0]] == 1 or counts[t.links[-1]] == 1
-        assert (got is None) == expect_drop
-
-    for t, got in zip(corpus, od_remove(corpus)):
-        links = list(t.links)
-        if counts[links[-1]] == 1:
-            links = links[:-1]
-        if links and counts[t.links[0]] == 1:
-            links = links[1:]
-        assert (tuple(links) if links else None) == (got.links if got else None)
-
-    for t, got in zip(corpus, od_successive_remove(corpus)):
-        links = list(t.links)
-        while links and counts[links[0]] == 1:
-            links.pop(0)
-        while links and counts[links[-1]] == 1:
-            links.pop()
-        assert (tuple(links) if links else None) == (got.links if got else None)
+    assert trip_remove(corpus) == reference.trip_remove(corpus)
+    assert od_remove(corpus) == reference.od_remove(corpus)
+    assert od_successive_remove(corpus) == reference.od_successive(corpus)

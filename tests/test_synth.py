@@ -16,6 +16,8 @@ from dpmobility.synth import (
 )
 from dpmobility.trajectories import local_day_hour
 
+import reference
+
 DAY = date(2026, 1, 6)
 TWO_DAYS = (date(2026, 1, 6), date(2026, 1, 7))
 
@@ -109,7 +111,7 @@ class TestGenerateTrips:
     def test_ground_truth_connected(self, city20):
         cfg = SynthTripConfig(n_trips=20, n_devices=10, days=(DAY,), seed=33)
         _, truth = generate_trips(city20, cfg)
-        assert all(t.is_connected(city20) for t in truth)
+        assert all(reference.is_connected(city20, t.links) for t in truth)
 
     def test_zero_jitter_matches_exactly(self, city20):
         cfg = SynthTripConfig(n_trips=15, n_devices=15, days=(DAY,),
