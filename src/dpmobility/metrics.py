@@ -99,7 +99,9 @@ def unchanged_single_count_od(
     it was the origin or destination link of a trip with a raw count of
     one, and after privatization it is still that trip's endpoint link
     with a count of one.  The ratio is the privatized fraction,
-    1 - unchanged/total (1.0 when there was nothing to privatize).
+    1 - unchanged/total (1.0 when there was nothing to privatize).  An OD
+    with no single-count link never counts, so ``raw_ods`` may hold only
+    the ODs that have one.
     """
     if raw.window != privatized.window:
         raise WindowMismatchError(
@@ -157,7 +159,11 @@ def compare(
 
     raw_trips, left_out = match_window(gps_corpus, net, match_cfg, window)
     raw_agg = aggregate(list(raw_trips.values()), window=window)
-    raw_ods = {i: (t.links[0], t.links[-1]) for i, t in raw_trips.items()}
+    single_ods = {
+        i: (t.links[0], t.links[-1])
+        for i, t in raw_trips.items()
+        if raw_agg.counts[t.links[0]] == 1 or raw_agg.counts[t.links[-1]] == 1
+    }
 
     def releases():
         """(model, epsilon, released trips keyed by corpus position)."""
@@ -175,8 +181,8 @@ def compare(
     rows = []
     for model, epsilon, released in releases():
         corpus = list(released.values())
-        agg = aggregate(corpus, window=window, source=model)
-        unchanged, ratio = unchanged_single_count_od(raw_agg, raw_ods, agg, released)
+        agg = raw_agg if model == MODEL_RAW else aggregate(corpus, window=window, source=model)
+        unchanged, ratio = unchanged_single_count_od(raw_agg, single_ods, agg, released)
         rows.append({
             "model": model,
             "epsilon": epsilon,

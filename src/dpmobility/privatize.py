@@ -20,11 +20,14 @@ released; trips outside it are never matched and are excluded as
 corpus, and a decision's ``trip`` is the trip's position in it.  A trip
 with a fired end whose buffer reaches its cap before the density
 thresholds pass cannot be released at any epsilon, so the plan excludes
-it as ``sparse_network``.  The draw
+it as ``sparse_network``.  The plan also holds the two decisions of every
+trip with no fired end, which no draw changes.  The draw
 (:func:`privatize_trajectories`) takes nothing but a plan, the network and
-one epsilon; it scales each planned radius by 1/epsilon, snaps and
-re-routes, so an epsilon sweep builds one plan and draws from it once per
-epsilon.
+one epsilon.  It visits only the trips with a fired end: it scales each
+fired end's planned radius by 1/epsilon, snaps and re-routes.  Every other
+trip passes into the release as the plan's own object, so an epsilon
+sweep builds one plan and each draw costs in proportion to the fired
+trips, not to the corpus.
 
 What the noise guarantees: each fired end's noisy point is planar Laplace
 at eps/R per metre around the true point, which for a fixed R is
@@ -240,7 +243,10 @@ class EndpointPlan:
     :class:`SparseNetworkError` is left out and counted as
     ``sparse_network``.  ``fired`` holds every end of ``trips`` that the
     rule perturbs, keyed by (trip position, ORIGIN or DESTINATION).
-    ``excluded`` counts the trips dropped before any draw.
+    ``passed`` holds the origin and destination decisions of every trip of
+    ``trips`` with no fired end: a draw releases such a trip unchanged, so
+    its decisions do not depend on epsilon.  ``excluded`` counts the trips
+    dropped before any draw.
     """
 
     trips_in: int
@@ -248,6 +254,7 @@ class EndpointPlan:
     excluded: dict[str, int]
     counts: dict[LinkId, int]
     fired: dict[tuple[int, str], FiredEnd]
+    passed: dict[int, tuple[EndpointDecision, EndpointDecision]]
 
 
 def plan_endpoints(
@@ -310,6 +317,15 @@ def _plan(
         key: FiredEnd(point, buffer, theta, unit)
         for (key, _, point, buffer), (theta, _), unit in zip(ends, uniforms, units)
     }
+    fired_trips = {i for i, _ in fired}
+    passed = {
+        i: (
+            EndpointDecision(i, ORIGIN, trip.links[0], False, None, trip.links[0], None),
+            EndpointDecision(i, DESTINATION, trip.links[-1], False, None, trip.links[-1], None),
+        )
+        for i, trip in trips.items()
+        if i not in fired_trips
+    }
 
     return EndpointPlan(
         trips_in=len(gps_corpus),
@@ -317,6 +333,7 @@ def _plan(
         excluded=excluded,
         counts=counts,
         fired=fired,
+        passed=passed,
     )
 
 
@@ -326,21 +343,24 @@ def privatize_trajectories(
     """Draw one release from ``plan`` at privacy level ``epsilon``.
 
     Perturbs, snaps and re-routes every fired end with the noise the plan
-    drew for it.  Returns the surviving privatized trips keyed by their
-    position in the planned corpus plus the decision report.
+    drew for it; only the trips with a fired end are visited.  Every other
+    planned trip is released as the plan's own object, with the plan's
+    decisions.  Returns the surviving privatized trips keyed by their
+    position in the planned corpus, in plan order, plus the decision
+    report, whose decisions follow the same order, origin first.
     """
     validate_epsilon(epsilon)
 
     excluded = dict(plan.excluded)
+    out = dict(plan.trips)
 
-    def exclude(cause: str) -> None:
+    def exclude(i: int, cause: str) -> None:
+        del out[i]
         excluded[cause] = excluded.get(cause, 0) + 1
 
-    out: dict[int, LinkTrajectory] = {}
-    decisions: list[EndpointDecision] = []
-    endpoints_perturbed = 0
-
-    for i, trip in plan.trips.items():
+    drawn: dict[int, list[EndpointDecision]] = {}
+    for i in dict.fromkeys(i for i, _ in plan.fired):
+        trip = plan.trips[i]
         ends = [(end, plan.fired.get((i, end))) for end in (ORIGIN, DESTINATION)]
         try:
             snaps = [
@@ -352,35 +372,39 @@ def privatize_trajectories(
                 trip, net, *(snap[1] if snap else None for snap in snaps)
             )
         except UnmatchableError:
-            exclude("unmatchable_rebuild")
+            exclude(i, "unmatchable_rebuild")
             continue
         except DisplacementRangeError:
-            exclude("noise_out_of_range")
+            exclude(i, "noise_out_of_range")
             continue
 
         out[i] = rebuilt
-        for (end, fired), snap, original, new in zip(
-            ends, snaps, (trip.links[0], trip.links[-1]), (rebuilt.links[0], rebuilt.links[-1])
-        ):
-            endpoints_perturbed += fired is not None
-            decisions.append(
-                EndpointDecision(
-                    i,
-                    end,
-                    original,
-                    fired is not None,
-                    snap[0] if snap else None,
-                    new,
-                    fired.buffer.radius_m if fired else None,
-                )
+        drawn[i] = [
+            EndpointDecision(
+                i,
+                end,
+                original,
+                fired is not None,
+                snap[0] if snap else None,
+                new,
+                fired.buffer.radius_m if fired else None,
             )
+            for (end, fired), snap, original, new in zip(
+                ends, snaps, (trip.links[0], trip.links[-1]), (rebuilt.links[0], rebuilt.links[-1])
+            )
+        ]
 
-    new_counts = compute_link_counts(out.values())
+    decisions = [d for i in out for d in (drawn[i] if i in drawn else plan.passed[i])]
+    # A link with a planned count of one lies on one matched trip only.  A
+    # counted decision is perturbed, so that trip was drawn; a trip released
+    # unchanged is another trip and does not traverse the link.  So the
+    # drawn trips hold every released traversal of a counted link.
+    new_counts = compute_link_counts(out[i] for i in drawn)
+    perturbed = [dec for ds in drawn.values() for dec in ds if dec.perturbed]
     unchanged = sum(
         1
-        for dec in decisions
-        if dec.perturbed
-        and plan.counts.get(dec.original_link) == 1
+        for dec in perturbed
+        if plan.counts.get(dec.original_link) == 1
         and dec.new_link == dec.original_link
         and new_counts.get(dec.original_link) == 1
     )
@@ -389,7 +413,7 @@ def privatize_trajectories(
         trips_in=plan.trips_in,
         trips_out=len(out),
         excluded=excluded,
-        endpoints_perturbed=endpoints_perturbed,
+        endpoints_perturbed=len(perturbed),
         endpoints_unchanged_single_count=unchanged,
         decisions=decisions,
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpmobility.privatize as privatize_module
 from dpmobility.adaptive import BufferResult
 from dpmobility.aggregate import Window, compute_link_counts
 from dpmobility.metrics import DEFAULT_EPSILONS
@@ -213,7 +214,19 @@ class TestDrawExclusions:
         assert whole == report
         assert report.trips_in == report.trips_out + sum(report.excluded.values())
         assert {d.trip for d in report.decisions} == set(out)
-        assert agg.counts == reference.link_counts(out.values())
+        counts = reference.link_counts(out.values())
+        assert agg.counts == counts
+        # Decisions follow plan order, origin before destination, and an
+        # excluded trip has none.
+        assert list(out) == [i for i in plan.trips if i in out]
+        assert [(d.trip, d.end) for d in report.decisions] == [
+            (i, end) for i in out for end in (ORIGIN, DESTINATION)
+        ]
+        assert report.endpoints_unchanged_single_count == sum(
+            d.perturbed and plan.counts.get(d.original_link) == 1
+            and d.new_link == d.original_link and counts.get(d.original_link) == 1
+            for d in report.decisions
+        )
         return plan, out, report
 
     def test_noise_out_of_range(self):
@@ -250,8 +263,46 @@ class TestDrawExclusions:
             assert fired.buffer.buffer_set_fc == {"f0", "spur"}
             new_origin = reference.snap_noisy(net, fired.noisy_point(1.0), {"f0", "spur"})[1]
             assert (new_origin == "e") == (report.excluded == {"unmatchable_rebuild": 1})
+            # Re-routed from a, the trip keeps f0, which nothing else traverses.
+            assert report.endpoints_unchanged_single_count == (new_origin == "a")
             outcomes.append(new_origin)
         assert set(outcomes) == {"a", "e"}
+
+
+class TestDrawTouchesOnlyFiredTrips:
+    def test_work_scales_with_fired_ends(self, city20, monkeypatch):
+        cfg_trips = SynthTripConfig(n_trips=120, n_devices=60, days=(date(2026, 1, 6),),
+                                    repeat_fraction=0.05, seed=11)
+        corpus, _ = generate_trips(city20, cfg_trips)
+        plan = plan_endpoints(corpus, city20, PrivacyConfig(global_seed=5))
+        fired_trips = {i for i, _ in plan.fired}
+        assert fired_trips and len(fired_trips) < len(plan.trips)
+
+        calls = {"match_noisy_endpoint": 0, "rebuild_trajectory": 0}
+        for name in calls:
+            real = getattr(privatize_module, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(privatize_module, name, counting)
+        out, report = privatize_trajectories(plan, city20, 1.0)
+        monkeypatch.undo()
+
+        assert report.excluded == plan.excluded
+        assert calls == {"match_noisy_endpoint": len(plan.fired),
+                         "rebuild_trajectory": len(fired_trips)}
+        for i, trip in plan.trips.items():
+            if i not in fired_trips:
+                assert out[i] is trip
+
+        def unfired(report):
+            return [d for d in report.decisions if d.trip not in fired_trips]
+
+        _, other = privatize_trajectories(plan, city20, 0.05)
+        assert unfired(report) == unfired(other)
+        assert unfired(report) == [d for i in plan.passed for d in plan.passed[i]]
 
 
 class TestPrivacyConfig:
