@@ -17,6 +17,13 @@ arrays: node coordinates in the index frame, and node positions sorted by
 cell.  Only the nodes inside a point's box reach the exact great-circle
 distance and the ``(distance, id)`` tie-break; a point whose box has no
 bound is measured against every node.
+
+Every point-to-link distance (``distance_to_link``, ``links_within``,
+``nearest_link`` and ``adaptive.select_radius``) comes from one array
+kernel, ``RoadNetwork.link_distances``, over per-segment vertex arrays
+built with the index.  It gives, bit for bit, the scalar recipe's float:
+vertices projected into the query point's own frame, ``point_to_segment``
+on each segment, ``math.hypot``, the minimum over the link's segments.
 """
 
 from __future__ import annotations
@@ -33,9 +40,7 @@ from .errors import NetworkError, NoCandidateError, NoPathError
 from .geometry import (
     EARTH_RADIUS_M,
     GeoPoint,
-    PlanarPoint,
     haversine_distance,
-    point_to_segment,
     project,
     project_batch,
     validate_geopoint,
@@ -153,51 +158,59 @@ class RoadNetwork:
         return pp.x, pp.y
 
     def _build_index(self) -> None:
+        # Every link vertex, links in sorted id order, then every node, in
+        # one projection into the index frame.
+        self._link_ids: list[LinkId] = sorted(self.links)
+        self._link_pos = {lid: k for k, lid in enumerate(self._link_ids)}
+        self._node_ids: list[NodeId] = sorted(self.nodes)
+        geoms = [self.links[lid].geometry for lid in self._link_ids]
+        vertices = sum(map(len, geoms))
+        points = itertools.chain(itertools.chain.from_iterable(geoms),
+                                 (self.nodes[nid] for nid in self._node_ids))
+        n = vertices + len(self._node_ids)
+        lat, lon = np.fromiter(itertools.chain.from_iterable(points), float, 2 * n) \
+            .reshape(-1, 2).T
+        x, y = project_batch(lat, lon, self._anchor)
+
+        # The segments of link k are ``_link_seg0[k]`` onwards, ``_link_nseg[k]``
+        # of them.  ``_seg_lonlat[c, e, s]`` holds coordinate c (longitude,
+        # latitude) of segment s's start (e = 0) and end (e = 1) vertex.
+        nvert = np.fromiter(map(len, geoms), np.int64, len(geoms))
+        self._link_nseg = nvert - 1
+        self._link_seg0 = np.cumsum(self._link_nseg) - self._link_nseg
+        _, start = _ranges(np.cumsum(nvert) - nvert, self._link_nseg)
+        ends = np.stack([start, start + 1])
+        self._seg_lonlat = np.stack([lon[ends], lat[ends]])
+        self._link_fc = np.fromiter(
+            (self.links[lid].functional_class for lid in self._link_ids), np.int64,
+            len(self._link_ids))
+
+        # Each link is registered in every cell its segments' boxes touch.
+        sx, sy = x[ends], y[ends]
+        ix0, iy0 = (np.floor(v.min(axis=0) / GRID_CELL_M).astype(np.int64) for v in (sx, sy))
+        ix1, iy1 = (np.floor(v.max(axis=0) / GRID_CELL_M).astype(np.int64) for v in (sx, sy))
         self._grid: dict[tuple[int, int], list[LinkId]] = {}
-        cells_min = [math.inf, math.inf]
-        cells_max = [-math.inf, -math.inf]
-
-        def cell(x: float, y: float) -> tuple[int, int]:
-            return (math.floor(x / GRID_CELL_M), math.floor(y / GRID_CELL_M))
-
-        for lid in sorted(self.links):
-            pts = [self._index_xy(p) for p in self.links[lid].geometry]
+        spans = zip(ix0.tolist(), iy0.tolist(), ix1.tolist(), iy1.tolist())
+        for lid, nseg in zip(self._link_ids, self._link_nseg.tolist()):
             seen: set[tuple[int, int]] = set()
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-                ca = cell(min(x0, x1), min(y0, y1))
-                cb = cell(max(x0, x1), max(y0, y1))
-                for ix in range(ca[0], cb[0] + 1):
-                    for iy in range(ca[1], cb[1] + 1):
-                        seen.add((ix, iy))
+            for a0, b0, a1, b1 in itertools.islice(spans, nseg):
+                seen.update(itertools.product(range(a0, a1 + 1), range(b0, b1 + 1)))
             for c in seen:
                 self._grid.setdefault(c, []).append(lid)
-                cells_min[0] = min(cells_min[0], c[0])
-                cells_min[1] = min(cells_min[1], c[1])
-                cells_max[0] = max(cells_max[0], c[0])
-                cells_max[1] = max(cells_max[1], c[1])
 
-        self._node_ids: list[NodeId] = sorted(self.nodes)
-        node_xy: list[tuple[float, float]] = []
-        node_cells: list[tuple[int, int]] = []
-        for nid in self._node_ids:
-            xy = self._index_xy(self.nodes[nid])
-            c = cell(*xy)
-            node_xy.append(xy)
-            node_cells.append(c)
-            cells_min[0] = min(cells_min[0], c[0])
-            cells_min[1] = min(cells_min[1], c[1])
-            cells_max[0] = max(cells_max[0], c[0])
-            cells_max[1] = max(cells_max[1], c[1])
-
-        self._cells_min = (int(cells_min[0]), int(cells_min[1]))
-        self._cells_max = (int(cells_max[0]), int(cells_max[1]))
+        self._node_x, self._node_y = x[vertices:].copy(), y[vertices:].copy()
+        node_ix, node_iy = (np.floor(v / GRID_CELL_M).astype(np.int64)
+                            for v in (self._node_x, self._node_y))
+        self._cells_min = (int(ix0.min(initial=node_ix.min())),
+                           int(iy0.min(initial=node_iy.min())))
+        self._cells_max = (int(ix1.max(initial=node_ix.max())),
+                           int(iy1.max(initial=node_iy.max())))
 
         # The node grid as arrays for nearest_nodes: index-frame coordinates
         # by position in ``_node_ids``, and those positions sorted by cell
         # key (column-major within the grid box, see ``_cell_key``), so the
         # nodes of one column's cells between two rows form one run.
-        self._node_x, self._node_y = np.array(node_xy, dtype=float).T
-        keys = self._cell_key(*np.array(node_cells, dtype=np.int64).T)
+        keys = self._cell_key(node_ix, node_iy)
         self._node_order = np.argsort(keys, kind="stable")
         self._node_keys = keys[self._node_order]
 
@@ -226,10 +239,11 @@ class RoadNetwork:
           so with ``m = cos(|phic| + radius/R)``,
           ``|dlam| <= 2*asin(radius/(2*R*m))``.  This is the planar bound
           ``radius/(R*m)`` times the ``(dlam/2)/sin(dlam/2)`` factor.
-        * East-west, planar (``RadiusScan``): the
-          centre's frame measures ``R*dlam*cos(phic)`` east, so the closest
-          point of a link has ``|dlam| <= radius/(R*cos(phic))``, which
-          the haversine bound above contains.  Both frames are affine maps
+        * East-west, planar (:meth:`link_distances`, for ``links_within``
+          and ``select_radius``): the centre's frame measures
+          ``R*dlam*cos(phic)`` east, so the closest point of a link has
+          ``|dlam| <= radius/(R*cos(phic))``, which the haversine bound
+          above contains.  Both frames are affine maps
           of (lat, lon) per axis, so a segment stays a segment and that
           closest point lies in the index cells registered for it.
 
@@ -264,9 +278,8 @@ class RoadNetwork:
             return math.inf
         return EARTH_RADIUS_M * math.cos(math.radians(self._anchor.lat)) * dlam + BOX_MARGIN_M
 
-    def _links_in_cells(
-        self, box: tuple[tuple[int, int], tuple[int, int]]
-    ) -> set[LinkId]:
+    def _links_in_cells(self, box: tuple[tuple[int, int], tuple[int, int]]) -> np.ndarray:
+        """Positions in ``_link_ids`` of the links registered in the box's cells."""
         (ix0, iy0), (ix1, iy1) = box
         out: set[LinkId] = set()
         for ix in range(ix0, ix1 + 1):
@@ -274,23 +287,61 @@ class RoadNetwork:
                 bucket = self._grid.get((ix, iy))
                 if bucket:
                     out.update(bucket)
-        return out
+        return np.fromiter(map(self._link_pos.__getitem__, out), np.int64, len(out))
+
+    def link_distances(self, p: GeoPoint, links: np.ndarray) -> np.ndarray:
+        """Minimal distance from ``p`` to each link's polyline, in meters;
+        ``links`` are positions in the sorted link ids.
+
+        Each distance is the float the scalar recipe gives: every vertex
+        projected into ``p``'s own frame (:func:`geometry.project`'s float
+        order), each segment measured as in :func:`geometry.point_to_segment`
+        with ``math.hypot``, and the link's minimum over its segments.
+        """
+        nseg = self._link_nseg[links]
+        owner, seg = _ranges(self._link_seg0[links], nseg)
+        xy = self._seg_lonlat[:, :, seg] - np.array([p.lon, p.lat])[:, None, None]
+        xy = EARTH_RADIUS_M * np.radians(xy)
+        xy[0] *= math.cos(math.radians(p.lat))
+        # Segment a-b against the origin: w = 0 - a, t = w.v / v.v clamped.
+        a = xy[:, 0]
+        v = xy[:, 1] - a
+        vv = v * v
+        vv = vv[0] + vv[1]
+        wv = (0.0 - a) * v
+        # A zero-length segment keeps t = 0, without the division.
+        t = np.divide(wv[0] + wv[1], vv, out=np.zeros_like(vv), where=vv > 0.0)
+        t = np.minimum(1.0, np.maximum(0.0, t))
+        e = 0.0 - (a + t * v)
+        h = np.hypot(e[0], e[1])
+        best = np.minimum.reduceat(h, np.cumsum(nseg) - nseg)
+        # ``np.hypot`` and ``math.hypot`` may differ in the last place, so
+        # each link's minimum is taken again with ``math.hypot``, over the
+        # segments that can hold it.  Each is within one ulp u of the exact
+        # hypot.  Let m be a link's smallest np.hypot, at segment s, and s*
+        # a segment where math.hypot is smallest.  Then
+        #     np(s*) <= math(s*) + 2u <= math(s) + 2u <= np(s) + 4u = m + 4u,
+        # and u <= max(2**-52 * (m + 4u), 2**-1074), so np(s*) lies below
+        # m * (1 + 2**-49) + 4 * 2**-1074 even after that sum is rounded.
+        near = h <= best[owner] * (1.0 + 2.0 ** -49) + 4.0 * math.ulp(0.0)
+        exact = [math.inf] * len(links)
+        for k, dx, dy in zip(owner[near].tolist(), *e[:, near].tolist()):
+            d = math.hypot(dx, dy)
+            if d < exact[k]:
+                exact[k] = d
+        return np.array(exact, dtype=float)
 
     def distance_to_link(self, p: GeoPoint, link_id: LinkId) -> float:
         """Minimal distance from ``p`` to the link's polyline, in meters."""
-        origin = PlanarPoint(0.0, 0.0, p)
-        geom = self.links[link_id].geometry
-        pts = [project(g, p) for g in geom]
-        best = math.inf
-        for a, b in zip(pts, pts[1:]):
-            d, _ = point_to_segment(origin, a, b)
-            if d < best:
-                best = d
-        return best
+        return float(self.link_distances(p, np.array([self._link_pos[link_id]]))[0])
 
     def links_within(self, center: GeoPoint, radius: float) -> set[LinkId]:
         """Exactly the links whose geometry comes within ``radius`` of ``center``."""
-        return RadiusScan(self, center).within(radius)
+        if not (radius >= 0.0):
+            raise ValueError(f"radius must be non-negative: {radius}")
+        links = self._links_in_cells(self._cells_in_range(center, radius))
+        inside = links[self.link_distances(center, links) <= radius]
+        return {self._link_ids[k] for k in inside.tolist()}
 
     def nearest_link(self, p: GeoPoint, candidates: Collection[LinkId]) -> LinkId:
         """Closest of ``candidates`` to ``p``; ties broken by smallest link id.
@@ -299,7 +350,9 @@ class RoadNetwork:
         """
         if not candidates:
             raise NoCandidateError("empty candidate set")
-        return min(candidates, key=lambda lid: (self.distance_to_link(p, lid), lid))
+        ids = list(candidates)
+        links = np.fromiter(map(self._link_pos.__getitem__, ids), np.int64, len(ids))
+        return min(zip(self.link_distances(p, links).tolist(), ids))[1]
 
     def nearest_node(self, p: GeoPoint, within: float) -> NodeId | None:
         """Closest node to ``p``; ``None`` if none lies within ``within`` meters."""
@@ -411,35 +464,3 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     owner = np.repeat(np.arange(len(counts)), counts)
     first = np.cumsum(counts) - counts
     return owner, np.arange(len(owner)) + (starts - first)[owner]
-
-
-class RadiusScan:
-    """Radius queries of growing size around one fixed centre.
-
-    Each link offered by the grid index is measured with
-    :meth:`RoadNetwork.distance_to_link` once, the first time a query's
-    cells reach it; later queries only compare the stored distances with
-    their radius.  A growing buffer therefore costs one exact distance per
-    nearby link instead of one per link and probe.  Each query returns the
-    same set as a fresh query of its radius: the distances are the exact
-    ones, and the cells of a radius already offer every link within it.
-    """
-
-    def __init__(self, net: RoadNetwork, center: GeoPoint):
-        self._net = net
-        self._center = center
-        self._box: tuple[tuple[int, int], tuple[int, int]] | None = None
-        self._distances: dict[LinkId, float] = {}
-
-    def within(self, radius: float) -> set[LinkId]:
-        """Links whose geometry comes within ``radius`` of the centre."""
-        if not (radius >= 0.0):
-            raise ValueError(f"radius must be non-negative: {radius}")
-        box = self._net._cells_in_range(self._center, radius)
-        if box != self._box:
-            self._box = box
-            distances = self._distances
-            for lid in self._net._links_in_cells(box):
-                if lid not in distances:
-                    distances[lid] = self._net.distance_to_link(self._center, lid)
-        return {lid for lid, d in self._distances.items() if d <= radius}

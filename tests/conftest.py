@@ -142,3 +142,18 @@ def match_calls(monkeypatch) -> list[GpsTrajectory]:
 
     monkeypatch.setattr(privatize_module, "match_corpus", counting)
     return calls
+
+
+@pytest.fixture
+def measured_links(monkeypatch) -> list[list[int]]:
+    """The link positions each ``RoadNetwork.link_distances`` call is
+    handed during the test, in call order."""
+    calls: list[list[int]] = []
+    real = RoadNetwork.link_distances
+
+    def recording(self, p, links):
+        calls.append(links.tolist())
+        return real(self, p, links)
+
+    monkeypatch.setattr(RoadNetwork, "link_distances", recording)
+    return calls

@@ -20,8 +20,8 @@ once, with its tie-break and its float order:
   subtotal per trip, and network length adds each active link once, in
   the order the released trips first traverse it.
 
-It shares only the package's record types and its exact primitives: the
-distances (``haversine_distance``, ``RoadNetwork.distance_to_link``),
+It shares only the package's record types and its exact primitives:
+``haversine_distance``, the planar ``project`` and ``point_to_segment``,
 ``displace``, the seed derivation and the Lambert-W inverse CDF
 (``laplace_uniforms``, ``unit_radius``, ``scale_radius``).
 """
@@ -39,7 +39,8 @@ import numpy as np
 
 from dpmobility.adaptive import BufferResult
 from dpmobility.errors import DisplacementRangeError
-from dpmobility.geometry import EARTH_RADIUS_M, GeoPoint, PlanarPoint, displace, haversine_distance
+from dpmobility.geometry import (EARTH_RADIUS_M, GeoPoint, PlanarPoint, displace,
+                                 haversine_distance, point_to_segment, project)
 from dpmobility.matching import MatchConfig
 from dpmobility.noise import SeedRule, laplace_uniforms, scale_radius, unit_radius
 from dpmobility.privatize import DESTINATION, ORIGIN, EndpointDecision, PrivacyConfig
@@ -81,9 +82,17 @@ def nearest_node(net, p: GeoPoint, within: float):
     return nid if d <= within else None
 
 
+def distance_to_link(net, p: GeoPoint, lid: str) -> float:
+    """Distance from ``p`` to the link's polyline: every vertex projected
+    into ``p``'s own frame, the smallest segment distance."""
+    origin = PlanarPoint(0.0, 0.0, p)
+    pts = [project(g, p) for g in net.links[lid].geometry]
+    return min(point_to_segment(origin, a, b)[0] for a, b in zip(pts, pts[1:]))
+
+
 def within(net, center: GeoPoint, radius: float) -> set[str]:
     """Every link whose geometry comes within ``radius`` of ``center``."""
-    return {lid for lid in net.links if net.distance_to_link(center, lid) <= radius}
+    return {lid for lid in net.links if distance_to_link(net, center, lid) <= radius}
 
 
 def path_length(net, path) -> float:
@@ -218,7 +227,7 @@ def final_buffer(net, point: GeoPoint, fc: int, h1: int, h2: int,
     """The first probed buffer holding more than ``h1`` links and more
     than ``h2`` links of class ``fc``; None where the cap comes first.
     Every link is measured once, then each probe compares."""
-    distance = {lid: net.distance_to_link(point, lid) for lid in net.links}
+    distance = {lid: distance_to_link(net, point, lid) for lid in net.links}
     z, iterations = initial_buffer_m, 0
     while z <= max_buffer_m:
         iterations += 1
@@ -241,7 +250,7 @@ def noisy_point(point: GeoPoint, radius_m: float, seed: int, link: str, end: str
 
 def snap_noisy(net, z: GeoPoint, candidates) -> tuple[str, str]:
     """(candidate link, its end node) the noisy point ``z`` snaps to."""
-    _, lid = min((net.distance_to_link(z, c), c) for c in candidates)
+    _, lid = min((distance_to_link(net, z, c), c) for c in candidates)
     link = net.links[lid]
     _, node = min((haversine_distance(z, net.nodes[n]), n) for n in (link.from_node, link.to_node))
     return lid, node

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpmobility.adaptive import select_radius
+from dpmobility.adaptive import FIRST_REACH_M, select_radius
 from dpmobility.errors import SparseNetworkError
 
 import reference
@@ -22,8 +22,10 @@ def assert_matches_reference(net, point, fc, h1, h2, **buffers):
 
 
 class TestMeasureOnceOracle:
-    """select_radius measures only the links its index offers, once each;
-    every probe must still see exactly what the reference's full scan sees."""
+    """select_radius measures only the links its index offers near the
+    point, once each, and picks the probe from those distances; the result
+    must still be what the reference's probe-by-probe scan of every link
+    gives."""
 
     def test_city20(self, city20):
         for node, east, north in (
@@ -61,6 +63,42 @@ class TestMeasureOnceOracle:
     def test_sparse_class(self, city20):
         point = city20.nodes["n010_011"]
         assert assert_matches_reference(city20, point, 2, 200, 200, max_buffer_m=400.0) is None
+
+
+class TestReach:
+    """Buffers beyond the first reach: each doubling measures only the
+    links not yet measured, until the buffer or the cap is inside it."""
+
+    def test_buffer_beyond_the_first_reach(self, city20, measured_links):
+        point = offset_point(city20.nodes["n007_002"], 50.0, 50.0)
+        result = assert_matches_reference(city20, point, 2, 8, 3)
+        assert result.radius_m > FIRST_REACH_M  # a 250 m buffer
+        assert len(measured_links) == 3
+        measured = [k for links in measured_links for k in links]
+        assert len(measured) == len(set(measured))
+
+    def test_probe_past_the_reach_below_the_threshold_cap(self, measured_links):
+        # The nearest link lies 118 m away, inside the first reach, but the
+        # first probe at or above it (15, 40, ..., 115, 140 m) lies outside.
+        net = make_network({"a": (-50.0, 118.0), "b": (50.0, 118.0)}, [("e", "a", "b")])
+        result = assert_matches_reference(net, BASE, 4, 0, 0,
+                                          initial_buffer_m=15.0, step_m=25.0)
+        assert (result.radius_m, result.iterations) == (70.0, 6)
+        assert len(measured_links) == 2
+
+    def test_threshold_beyond_the_cap(self, city20, measured_links):
+        # The class-2 threshold lies near 250 m; the cap stops the reach
+        # at 200 m after one doubling.
+        point = offset_point(city20.nodes["n007_002"], 50.0, 50.0)
+        assert assert_matches_reference(city20, point, 2, 8, 3, max_buffer_m=200.0) is None
+        assert len(measured_links) == 2
+
+    def test_cap_below_the_first_reach(self, city20, measured_links):
+        point = offset_point(city20.nodes["n007_002"], 50.0, 50.0)
+        # Mid-block: the block's 8 directed links lie 50 m away.
+        assert assert_matches_reference(city20, point, 4, 4, 3, max_buffer_m=60.0) is not None
+        assert assert_matches_reference(city20, point, 2, 8, 3, max_buffer_m=60.0) is None
+        assert len(measured_links) == 2
 
 
 class TestSelectRadius:

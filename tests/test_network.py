@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import dpmobility.network as network_module
 from dpmobility.adaptive import DEFAULT_MAX_BUFFER_M, select_radius
 from dpmobility.errors import NetworkError, NoCandidateError, NoPathError
-from dpmobility.geometry import GeoPoint, haversine_distance
-from dpmobility.network import Link, RadiusScan, RoadNetwork
+from dpmobility.geometry import GeoPoint, PlanarPoint, haversine_distance, point_to_segment, project
+from dpmobility.network import Link, RoadNetwork
 from dpmobility.privatize import match_corpus
 from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 
@@ -123,6 +123,84 @@ class TestNearestLink:
     def test_empty_candidates(self):
         with pytest.raises(NoCandidateError):
             grid3x3().nearest_link(BASE, set())
+
+
+def polyline_network(base: GeoPoint, polylines) -> RoadNetwork:
+    """One link ``L<k>`` per polyline of (east, north) offsets in meters."""
+    nodes, links = {}, {}
+    for k, offsets in enumerate(polylines):
+        geometry = tuple(offset_point(base, east, north) for east, north in offsets)
+        nodes[f"a{k}"], nodes[f"b{k}"] = geometry[0], geometry[-1]
+        chords = sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
+        links[f"L{k}"] = Link(f"L{k}", f"a{k}", f"b{k}", geometry, chords + 1.0, 4, 10.0)
+    return RoadNetwork(nodes, links)
+
+
+# Polyline vertices on a 25 m lattice, so that repeated vertices (zero-length
+# segments) and collinear runs come up often.
+VERTEX = st.tuples(st.integers(-4, 4).map(lambda i: 25.0 * i),
+                   st.integers(-4, 4).map(lambda i: 25.0 * i))
+
+
+class TestLinkDistances:
+    """The distance kernel against the reference's scalar recipe, to the bit."""
+
+    @given(
+        lat=st.floats(-75.0, 75.0),
+        lon=st.floats(-170.0, 170.0),
+        polylines=st.lists(st.lists(VERTEX, min_size=2, max_size=6), min_size=1, max_size=3),
+        where=st.sampled_from(["vertex", "segment", "off"]),
+        pick=st.integers(0, 2 ** 16),
+        along=st.floats(0.0, 1.0),
+        off=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(lat=60.0, lon=11.0, polylines=[[(0.0, 0.0), (0.0, 0.0)]], where="off", pick=0,
+             along=0.0, off=(30.0, 40.0))
+    @example(lat=0.0, lon=0.0, polylines=[[(0.0, 0.0), (0.0, 0.0)]], where="off", pick=0,
+             along=0.0, off=(0.0, 2.2250738585e-313))
+    @example(lat=-75.0, lon=11.0, polylines=[[(0.0, 0.0), (50.0, 0.0), (50.0, 0.0),
+                                              (50.0, 75.0)], [(25.0, 25.0), (25.0, 25.0)]],
+             where="segment", pick=2, along=0.5, off=(0.0, 0.0))
+    def test_equals_the_scalar_reference(self, lat, lon, polylines, where, pick, along, off):
+        base = GeoPoint(lat, lon)
+        net = polyline_network(base, polylines)
+        geometry = net.links[f"L{pick % len(polylines)}"].geometry
+        if where == "vertex":
+            p = geometry[pick % len(geometry)]
+        elif where == "segment":
+            j = pick % (len(geometry) - 1)
+            a, b = geometry[j], geometry[j + 1]
+            p = GeoPoint(a.lat + along * (b.lat - a.lat), a.lon + along * (b.lon - a.lon))
+        else:
+            p = offset_point(base, *off)
+
+        expected = [reference.distance_to_link(net, p, lid) for lid in net._link_ids]
+        # Zero-length segments must not divide: none of numpy's warnings
+        # (underflow is not one of them) may fire.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = net.link_distances(p, np.arange(len(net.links))[::-1])[::-1].tolist()
+            assert got == expected
+            assert [net.distance_to_link(p, lid) for lid in net._link_ids] == expected
+            assert net.links_within(p, max(expected)) == set(net.links)
+            assert net.nearest_link(p, net.links) == min(zip(expected, net._link_ids))[1]
+
+    def test_math_hypot_where_numpy_rounds_apart(self):
+        # The closest-point offset of this pair is one where np.hypot and
+        # math.hypot round to neighbouring floats (1.729097211465399 and
+        # ...3993 with glibc); the kernel must give math.hypot's.
+        a = GeoPoint(37.799665129195446, -122.29955385356392)
+        b = GeoPoint(37.80036124110256, -122.3005427808315)
+        p = GeoPoint(37.8, -122.3)
+        length = haversine_distance(a, b) + 1.0
+        net = RoadNetwork({"a": a, "b": b}, {"L": Link("L", "a", "b", (a, b), length, 4, 10.0)})
+        _, c = point_to_segment(PlanarPoint(0.0, 0.0, p), project(a, p), project(b, p))
+        dx, dy = 0.0 - c.x, 0.0 - c.y
+        if np.hypot(dx, dy) == math.hypot(dx, dy):
+            pytest.skip("np.hypot rounds as math.hypot here on this libm")
+        assert net.distance_to_link(p, "L") == math.hypot(dx, dy)
+        assert net.link_distances(p, np.array([0]))[0] == math.hypot(dx, dy)
+        assert math.hypot(dx, dy) == reference.distance_to_link(net, p, "L")
 
 
 class TestNearestNode:
@@ -289,8 +367,8 @@ class TestNearestNodes:
 
 
 class TestRadiusQueriesAtHighLatitude:
-    """links_within and RadiusScan against brute force where
-    the index frame's scale and the query frame's differ most."""
+    """links_within against brute force where the index frame's scale and
+    the query frame's differ most."""
 
     @pytest.mark.parametrize("lat", [75.0, -75.0])
     def test_matches_brute_force(self, lat):
@@ -302,9 +380,9 @@ class TestRadiusQueriesAtHighLatitude:
                                   float(rng.uniform(-1000, 7000)))
             radius = float(rng.uniform(0, DEFAULT_MAX_BUFFER_M))
             assert net.links_within(center, radius) == reference.within(net, center, radius)
-            scan = RadiusScan(net, center)
             for r in sorted(rng.uniform(0, DEFAULT_MAX_BUFFER_M, 6)):
-                assert scan.within(float(r)) == reference.within(net, center, float(r))
+                assert net.links_within(center, float(r)) == \
+                    reference.within(net, center, float(r))
 
     @pytest.mark.parametrize("lat, far_north_m", [(75.0, -500_000.0), (75.0, 500_000.0),
                                                    (-75.0, 500_000.0)])
@@ -334,10 +412,8 @@ class TestRadiusQueriesAtHighLatitude:
             within = haversine_distance(center, net.nodes["c" + name])
             assert net.nearest_node(center, within) == \
                 reference.nearest_node(net, center, within)
-            radius = net.distance_to_link(center, "t" + name)
-            expected = reference.within(net, center, radius)
-            assert net.links_within(center, radius) == expected
-            assert RadiusScan(net, center).within(radius) == expected
+            radius = reference.distance_to_link(net, center, "t" + name)
+            assert net.links_within(center, radius) == reference.within(net, center, radius)
 
     def test_full_grid_near_the_pole(self):
         base = GeoPoint(89.9, 11.0)
@@ -346,7 +422,6 @@ class TestRadiusQueriesAtHighLatitude:
         radius = DEFAULT_MAX_BUFFER_M
         assert net._cells_in_range(center, radius) == (net._cells_min, net._cells_max)
         assert net.links_within(center, radius) == reference.within(net, center, radius)
-        assert RadiusScan(net, center).within(radius) == reference.within(net, center, radius)
 
 
 class TestIndexBoxWidth:
@@ -389,24 +464,30 @@ class TestIndexBoxWidth:
         city20.nearest_nodes(points, within=50.0)
         assert len(calls) / n <= 1.5  # measured 1.0
 
-    def test_distance_calls_per_select_radius(self, city20, monkeypatch):
-        calls = []
-        real = RoadNetwork.distance_to_link
-
-        def counting(self, p, lid):
-            calls.append(lid)
-            return real(self, p, lid)
-
-        monkeypatch.setattr(RoadNetwork, "distance_to_link", counting)
+    @staticmethod
+    def select_radius_cases(city20):
         rng = np.random.default_rng(21)
         origin = city20.nodes["n000_000"]
-        n = 0
         for _ in range(100):
             p = offset_point(origin, float(rng.uniform(0, 1900)), float(rng.uniform(0, 1900)))
             for fc in (2, 4):
-                select_radius(city20, p, fc)
-                n += 1
-        assert len(calls) / n <= 60.0  # measured 41
+                yield p, fc
+
+    def test_links_measured_per_final_buffer(self, city20, measured_links):
+        # The box of a query at each select_radius call's final buffer.
+        cases = list(self.select_radius_cases(city20))
+        buffers = [2.0 * select_radius(city20, p, fc).radius_m for p, fc in cases]
+        measured_links.clear()
+        for (p, _), z in zip(cases, buffers):
+            city20.links_within(p, z)
+        assert sum(map(len, measured_links)) / len(cases) <= 60.0  # measured 41
+
+    def test_links_measured_per_select_radius(self, city20, measured_links):
+        # The first reach and its doublings, each link measured once.
+        cases = list(self.select_radius_cases(city20))
+        for p, fc in cases:
+            select_radius(city20, p, fc)
+        assert sum(map(len, measured_links)) / len(cases) <= 99.0  # measured 65.7
 
 
 class TestShortestPath:
