@@ -83,7 +83,7 @@ def select_radius(
     # it is exact, and one above it means the true one lies above it too.
     # The reach never passes the cap, so neither does an exact threshold.
     reach = min(FIRST_REACH_M, max_buffer_m)
-    links = net._links_in_cells(net._cells_in_range(point, reach))
+    links = net._links_near(point, reach)
     distances = net.link_distances(point, links)
     while True:
         same_class = net._link_fc[links] == fc
@@ -106,7 +106,7 @@ def select_radius(
         elif reach >= max_buffer_m:
             break
         reach = min(2.0 * reach, max_buffer_m)
-        more = net._links_in_cells(net._cells_in_range(point, reach))
+        more = net._links_near(point, reach)
         more = more[~np.isin(more, links)]
         links = np.concatenate([links, more])
         distances = np.concatenate([distances, net.link_distances(point, more)])

@@ -162,11 +162,17 @@ def cmd_privatize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    net, corpus, window, match_cfg = _load_inputs(args)
     models = tuple(part.strip() for part in args.models.split(",") if part.strip())
+    epsilons = _parse_floats(args.epsilons)
+    # Each would only repeat its rows; reject it before any file is read.
+    for name, values in (("models", models), ("epsilons", epsilons)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise DpMobilityError(f"repeated {name}: {repeated}")
+    net, corpus, window, match_cfg = _load_inputs(args)
     rows = compare(
         corpus, net, _privacy_config(args),
-        epsilons=_parse_floats(args.epsilons),
+        epsilons=epsilons,
         models=models,
         match_cfg=match_cfg,
         window=window,

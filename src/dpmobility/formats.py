@@ -211,28 +211,35 @@ def load_network_geojson(path: str | Path) -> RoadNetwork:
     return _network(path, links)
 
 
-def save_network_geojson(net: RoadNetwork, path: str | Path) -> None:
-    features = []
-    for lid in sorted(net.links):
-        link = net.links[lid]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[p.lon, p.lat] for p in link.geometry],
-                },
-                "properties": {
-                    "id": link.id,
-                    "from": link.from_node,
-                    "to": link.to_node,
-                    "fc": link.functional_class,
-                    "length_m": link.length_m,
-                    "speed_mps": link.speed_mps,
-                },
-            }
-        )
+def _save_links_geojson(links: Iterable[tuple[Link, dict]], path: str | Path) -> None:
+    """One LineString feature per ``(link, properties)``: the link's
+    geometry, and its id, class and length added to ``properties``."""
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {
+                "type": "LineString",
+                "coordinates": [[p.lon, p.lat] for p in link.geometry],
+            },
+            "properties": {
+                "id": link.id,
+                "fc": link.functional_class,
+                "length_m": link.length_m,
+                **properties,
+            },
+        }
+        for link, properties in links
+    ]
     _dump_json({"type": "FeatureCollection", "features": features}, path)
+
+
+def save_network_geojson(net: RoadNetwork, path: str | Path) -> None:
+    links = (net.links[lid] for lid in sorted(net.links))
+    _save_links_geojson(
+        ((link, {"from": link.from_node, "to": link.to_node, "speed_mps": link.speed_mps})
+         for link in links),
+        path,
+    )
 
 
 def _csv_link(row: dict) -> Link:
@@ -331,26 +338,11 @@ def load_aggregation_csv(path: str | Path) -> tuple[dict[LinkId, int], str]:
 def save_overlay_geojson(agg: AggregatedMobilityNetwork, net: RoadNetwork,
                          path: str | Path) -> None:
     """Active links with their counts, for map rendering."""
-    features = []
-    for lid in sorted(agg.counts):
-        link = net.links[lid]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[p.lon, p.lat] for p in link.geometry],
-                },
-                "properties": {
-                    "id": link.id,
-                    "count": agg.counts[lid],
-                    "fc": link.functional_class,
-                    "length_m": link.length_m,
-                    "source": agg.source,
-                },
-            }
-        )
-    _dump_json({"type": "FeatureCollection", "features": features}, path)
+    _save_links_geojson(
+        ((net.links[lid], {"count": agg.counts[lid], "source": agg.source})
+         for lid in sorted(agg.counts)),
+        path,
+    )
 
 
 def save_report_csv(report: PrivatizationReport, path: str | Path) -> None:

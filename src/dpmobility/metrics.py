@@ -142,10 +142,11 @@ def compare(
     models and the raw reference run once; the adaptive-noise model draws
     once per epsilon from one shared plan.  An empty or unknown model
     list, a bad epsilon, and no epsilons for the adaptive-noise model are
-    rejected before any matching.  Rows are dictionaries keyed by
-    COMPARE_COLUMNS; ``epsilon`` is None for epsilon-independent models,
-    and ``trips_excluded`` counts every trip of ``gps_corpus`` that the row
-    does not release, those outside the window included.
+    rejected before any matching.  A model or epsilon named twice gives its
+    rows twice; the ``compare`` command rejects it.  Rows are dictionaries
+    keyed by COMPARE_COLUMNS; ``epsilon`` is None for epsilon-independent
+    models, and ``trips_excluded`` counts every trip of ``gps_corpus`` that
+    the row does not release, those outside the window included.
     """
     if not models:
         raise ValueError("no models requested")

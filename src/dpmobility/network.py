@@ -18,12 +18,15 @@ cell.  Only the nodes inside a point's box reach the exact great-circle
 distance and the ``(distance, id)`` tie-break; a point whose box has no
 bound is measured against every node.
 
-Every point-to-link distance (``distance_to_link``, ``links_within``,
-``nearest_link`` and ``adaptive.select_radius``) comes from one array
-kernel, ``RoadNetwork.link_distances``, over per-segment vertex arrays
-built with the index.  It gives, bit for bit, the scalar recipe's float:
-vertices projected into the query point's own frame, ``point_to_segment``
-on each segment, ``math.hypot``, the minimum over the link's segments.
+Every point-to-link distance (``links_within``, ``nearest_link`` and
+``adaptive.select_radius``) comes from one array kernel,
+``RoadNetwork.link_distances``, over per-segment vertex arrays built with
+the index.  It computes the scalar recipe in its own float order, so it
+gives the same float by construction: vertices projected into the query
+point's own frame, ``point_to_segment`` on each segment, ``math.hypot``
+once per segment, the minimum over the link's segments.  The links a
+radius query measures are those ``RoadNetwork._links_near`` reads from the
+link grid, which holds each link by its position in the sorted link ids.
 """
 
 from __future__ import annotations
@@ -153,10 +156,6 @@ class RoadNetwork:
             if link.to_node not in self.nodes:
                 raise NetworkError(f"link {lid!r}: unknown to-node {link.to_node!r}")
 
-    def _index_xy(self, p: GeoPoint) -> tuple[float, float]:
-        pp = project(p, self._anchor)
-        return pp.x, pp.y
-
     def _build_index(self) -> None:
         # Every link vertex, links in sorted id order, then every node, in
         # one projection into the index frame.
@@ -185,18 +184,19 @@ class RoadNetwork:
             (self.links[lid].functional_class for lid in self._link_ids), np.int64,
             len(self._link_ids))
 
-        # Each link is registered in every cell its segments' boxes touch.
+        # Each link's position in ``_link_ids`` is registered in every cell
+        # its segments' boxes touch.
         sx, sy = x[ends], y[ends]
         ix0, iy0 = (np.floor(v.min(axis=0) / GRID_CELL_M).astype(np.int64) for v in (sx, sy))
         ix1, iy1 = (np.floor(v.max(axis=0) / GRID_CELL_M).astype(np.int64) for v in (sx, sy))
-        self._grid: dict[tuple[int, int], list[LinkId]] = {}
+        self._grid: dict[tuple[int, int], list[int]] = {}
         spans = zip(ix0.tolist(), iy0.tolist(), ix1.tolist(), iy1.tolist())
-        for lid, nseg in zip(self._link_ids, self._link_nseg.tolist()):
+        for k, nseg in enumerate(self._link_nseg.tolist()):
             seen: set[tuple[int, int]] = set()
             for a0, b0, a1, b1 in itertools.islice(spans, nseg):
                 seen.update(itertools.product(range(a0, a1 + 1), range(b0, b1 + 1)))
             for c in seen:
-                self._grid.setdefault(c, []).append(lid)
+                self._grid.setdefault(c, []).append(k)
 
         self._node_x, self._node_y = x[vertices:].copy(), y[vertices:].copy()
         node_ix, node_iy = (np.floor(v / GRID_CELL_M).astype(np.int64)
@@ -258,7 +258,7 @@ class RoadNetwork:
         if half_w == math.inf:
             return self._cells_min, self._cells_max
         half_h = radius + BOX_MARGIN_M
-        x, y = self._index_xy(center)
+        x, y, _ = project(center, self._anchor)
         ix0 = max(math.floor((x - half_w) / GRID_CELL_M), self._cells_min[0])
         iy0 = max(math.floor((y - half_h) / GRID_CELL_M), self._cells_min[1])
         ix1 = min(math.floor((x + half_w) / GRID_CELL_M), self._cells_max[0])
@@ -278,16 +278,16 @@ class RoadNetwork:
             return math.inf
         return EARTH_RADIUS_M * math.cos(math.radians(self._anchor.lat)) * dlam + BOX_MARGIN_M
 
-    def _links_in_cells(self, box: tuple[tuple[int, int], tuple[int, int]]) -> np.ndarray:
-        """Positions in ``_link_ids`` of the links registered in the box's cells."""
-        (ix0, iy0), (ix1, iy1) = box
-        out: set[LinkId] = set()
+    def _links_near(self, center: GeoPoint, radius: float) -> np.ndarray:
+        """Positions in ``_link_ids`` of the links registered in the cells of
+        :meth:`_cells_in_range`'s box: every link within ``radius`` of
+        ``center``, and others."""
+        (ix0, iy0), (ix1, iy1) = self._cells_in_range(center, radius)
+        out: set[int] = set()
         for ix in range(ix0, ix1 + 1):
             for iy in range(iy0, iy1 + 1):
-                bucket = self._grid.get((ix, iy))
-                if bucket:
-                    out.update(bucket)
-        return np.fromiter(map(self._link_pos.__getitem__, out), np.int64, len(out))
+                out.update(self._grid.get((ix, iy), ()))
+        return np.fromiter(out, np.int64, len(out))
 
     def link_distances(self, p: GeoPoint, links: np.ndarray) -> np.ndarray:
         """Minimal distance from ``p`` to each link's polyline, in meters;
@@ -295,11 +295,13 @@ class RoadNetwork:
 
         Each distance is the float the scalar recipe gives: every vertex
         projected into ``p``'s own frame (:func:`geometry.project`'s float
-        order), each segment measured as in :func:`geometry.point_to_segment`
-        with ``math.hypot``, and the link's minimum over its segments.
+        order), each segment's closest-point offset as in
+        :func:`geometry.point_to_segment`, its length by ``math.hypot`` (which
+        ``np.hypot`` can miss by one ulp), and the link's minimum over its
+        segments.
         """
         nseg = self._link_nseg[links]
-        owner, seg = _ranges(self._link_seg0[links], nseg)
+        _, seg = _ranges(self._link_seg0[links], nseg)
         xy = self._seg_lonlat[:, :, seg] - np.array([p.lon, p.lat])[:, None, None]
         xy = EARTH_RADIUS_M * np.radians(xy)
         xy[0] *= math.cos(math.radians(p.lat))
@@ -313,33 +315,14 @@ class RoadNetwork:
         t = np.divide(wv[0] + wv[1], vv, out=np.zeros_like(vv), where=vv > 0.0)
         t = np.minimum(1.0, np.maximum(0.0, t))
         e = 0.0 - (a + t * v)
-        h = np.hypot(e[0], e[1])
-        best = np.minimum.reduceat(h, np.cumsum(nseg) - nseg)
-        # ``np.hypot`` and ``math.hypot`` may differ in the last place, so
-        # each link's minimum is taken again with ``math.hypot``, over the
-        # segments that can hold it.  Each is within one ulp u of the exact
-        # hypot.  Let m be a link's smallest np.hypot, at segment s, and s*
-        # a segment where math.hypot is smallest.  Then
-        #     np(s*) <= math(s*) + 2u <= math(s) + 2u <= np(s) + 4u = m + 4u,
-        # and u <= max(2**-52 * (m + 4u), 2**-1074), so np(s*) lies below
-        # m * (1 + 2**-49) + 4 * 2**-1074 even after that sum is rounded.
-        near = h <= best[owner] * (1.0 + 2.0 ** -49) + 4.0 * math.ulp(0.0)
-        exact = [math.inf] * len(links)
-        for k, dx, dy in zip(owner[near].tolist(), *e[:, near].tolist()):
-            d = math.hypot(dx, dy)
-            if d < exact[k]:
-                exact[k] = d
-        return np.array(exact, dtype=float)
-
-    def distance_to_link(self, p: GeoPoint, link_id: LinkId) -> float:
-        """Minimal distance from ``p`` to the link's polyline, in meters."""
-        return float(self.link_distances(p, np.array([self._link_pos[link_id]]))[0])
+        h = np.fromiter(map(math.hypot, e[0].tolist(), e[1].tolist()), float, len(seg))
+        return np.minimum.reduceat(h, np.cumsum(nseg) - nseg)
 
     def links_within(self, center: GeoPoint, radius: float) -> set[LinkId]:
         """Exactly the links whose geometry comes within ``radius`` of ``center``."""
         if not (radius >= 0.0):
             raise ValueError(f"radius must be non-negative: {radius}")
-        links = self._links_in_cells(self._cells_in_range(center, radius))
+        links = self._links_near(center, radius)
         inside = links[self.link_distances(center, links) <= radius]
         return {self._link_ids[k] for k in inside.tolist()}
 

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,7 +290,8 @@ class TestCompareCommand:
     def test_unknown_model_exit_2(self, inputs, tmp_path):
         _, net, trips, _ = inputs
         out = tmp_path / "x"
-        for option in (("--models", "raw,nonsense"), ("--models", ","), ("--epsilons", "")):
+        for option in (("--models", "raw,nonsense"), ("--models", ","), ("--epsilons", ""),
+                       ("--models", "raw,raw"), ("--epsilons", "1,1")):
             code = main([
                 "compare", "--network", str(net), "--trips", str(trips),
                 *option, "--out", str(out),
@@ -499,3 +502,35 @@ class TestVerifyDp:
                 "--samples", "2000", "--cell", "20", *options]
         assert main(argv) == 2
         assert "within bound" not in capsys.readouterr().out
+
+
+# Runs in a child interpreter where the test extras cannot be imported.
+WITHOUT_TEST_EXTRAS = """
+import importlib, pkgutil, sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+import dpmobility
+for module in pkgutil.iter_modules(dpmobility.__path__):
+    importlib.import_module("dpmobility." + module.name)
+from dpmobility.cli import main
+for argv in (
+    "synth network --rows 6 --cols 6 --out net.geojson",
+    "synth trips --network net.geojson --n-trips 40 --n-devices 20 --dates 2026-01-06"
+    " --seed 1 --out trips.csv",
+    "privatize --network net.geojson --trips trips.csv --epsilon 1 --days T --out out",
+):
+    code = main(argv.split())
+    if code:
+        sys.exit(f"exit {code}: {argv}")
+"""
+
+
+class TestDependencies:
+    def test_numpy_is_the_only_runtime_dependency(self, tmp_path):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+        assert re.findall(r'"([A-Za-z0-9_.-]+)', listed) == ["numpy"]
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_TEST_EXTRAS], cwd=tmp_path,
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "privatized_aggregation.csv").is_file()

@@ -181,7 +181,6 @@ class TestLinkDistances:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             got = net.link_distances(p, np.arange(len(net.links))[::-1])[::-1].tolist()
             assert got == expected
-            assert [net.distance_to_link(p, lid) for lid in net._link_ids] == expected
             assert net.links_within(p, max(expected)) == set(net.links)
             assert net.nearest_link(p, net.links) == min(zip(expected, net._link_ids))[1]
 
@@ -196,9 +195,6 @@ class TestLinkDistances:
         net = RoadNetwork({"a": a, "b": b}, {"L": Link("L", "a", "b", (a, b), length, 4, 10.0)})
         _, c = point_to_segment(PlanarPoint(0.0, 0.0, p), project(a, p), project(b, p))
         dx, dy = 0.0 - c.x, 0.0 - c.y
-        if np.hypot(dx, dy) == math.hypot(dx, dy):
-            pytest.skip("np.hypot rounds as math.hypot here on this libm")
-        assert net.distance_to_link(p, "L") == math.hypot(dx, dy)
         assert net.link_distances(p, np.array([0]))[0] == math.hypot(dx, dy)
         assert math.hypot(dx, dy) == reference.distance_to_link(net, p, "L")
 
