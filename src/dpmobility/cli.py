@@ -80,7 +80,7 @@ def _add_window_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--network", required=True, help="road network (.geojson or .csv)")
+    p.add_argument("--network", required=True, help="road network (.geojson, .json or .csv)")
     p.add_argument("--trips", required=True, help="GPS sample CSV")
     p.add_argument("--gap", type=float, default=DEFAULT_TRIP_GAP_S, help="trip split gap, seconds")
     p.add_argument("--snap-radius", type=float, default=MatchConfig.snap_radius_m,
@@ -226,11 +226,7 @@ def cmd_synth_network(args) -> int:
     )
     net = generate_city(cfg)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if out.suffix.lower() == ".csv":
-        formats.save_network_csv(net, out)
-    else:
-        formats.save_network_geojson(net, out)
+    formats.save_network(net, out)
     print(f"wrote {len(net.nodes)} nodes / {len(net.links)} links -> {out}")
     return EXIT_OK
 
@@ -326,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--spacing", type=float, default=SynthCityConfig.spacing_m,
                    help="node spacing, meters")
     q.add_argument("--arterial-every", type=int, default=SynthCityConfig.arterial_every)
-    q.add_argument("--out", required=True, help=".geojson or .csv path")
+    q.add_argument("--out", required=True, help=".geojson, .json or .csv path")
     q.set_defaults(func=cmd_synth_network)
 
     q = synth_sub.add_parser("trips", help="generate a GPS trip corpus")

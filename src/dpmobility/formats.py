@@ -180,8 +180,9 @@ def load_network_geojson(path: str | Path) -> RoadNetwork:
     """Network from a FeatureCollection of LineString links.
 
     Required feature properties: id, from, to, fc, speed_mps; optional:
-    length_m (computed from the geometry when absent).  Other properties
-    are ignored.  Node positions come from the first/last geometry
+    length_m (computed from the geometry when absent).  Other properties,
+    and any number after a position's longitude and latitude (such as an
+    altitude), are ignored.  Node positions come from the first/last geometry
     vertices; two links that place one node at different positions are
     rejected.
     """
@@ -204,7 +205,7 @@ def load_network_geojson(path: str | Path) -> RoadNetwork:
             coords = geom.get("coordinates") or []
             if geom.get("type") != "LineString" or len(coords) < 2:
                 raise ValueError("expected a LineString of at least 2 positions")
-            pts = tuple(GeoPoint(float(lat), float(lon)) for lon, lat in coords)
+            pts = tuple(GeoPoint(float(lat), float(lon)) for lon, lat, *_ in coords)
             links.append(_link_from_properties(feature.get("properties") or {}, pts))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise InputFormatError(f"{path} (feature {i})", None, f"bad feature: {e}") from e
@@ -266,14 +267,33 @@ def save_network_csv(net: RoadNetwork, path: str | Path) -> None:
     _write_csv(path, NETWORK_CSV_COLUMNS, rows)
 
 
+# Network file formats by extension: (loader, writer).
+_NETWORK_FORMATS = {
+    ".geojson": (load_network_geojson, save_network_geojson),
+    ".json": (load_network_geojson, save_network_geojson),
+    ".csv": (load_network_csv, save_network_csv),
+}
+
+
+def _network_format(path: str | Path):
+    suffix = Path(path).suffix.lower()
+    if suffix not in _NETWORK_FORMATS:
+        raise InputFormatError(str(path), None, f"unsupported network format {suffix!r}")
+    return _NETWORK_FORMATS[suffix]
+
+
 def load_network(path: str | Path) -> RoadNetwork:
     """Dispatch on file extension: .geojson/.json or .csv."""
-    suffix = Path(path).suffix.lower()
-    if suffix in (".geojson", ".json"):
-        return load_network_geojson(path)
-    if suffix == ".csv":
-        return load_network_csv(path)
-    raise InputFormatError(str(path), None, f"unsupported network format {suffix!r}")
+    return _network_format(path)[0](path)
+
+
+def save_network(net: RoadNetwork, path: str | Path) -> None:
+    """Write ``net`` in the format :func:`load_network` reads from
+    ``path``'s extension, creating its directory; an unsupported extension
+    raises before anything is created."""
+    save = _network_format(path)[1]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    save(net, path)
 
 
 # -- trips -----------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Directed road network: link attributes, spatial queries, shortest paths.
 
 The network is immutable after construction.  Radius queries run against a
-uniform grid index over nodes and link geometries (cell size 100 m) laid
-out in one equirectangular frame around the network's mean point.  A query
-reads the smallest box of cells that provably holds everything within its
-radius, by great-circle distance for nodes and by planar distance in the
-query point's own frame for links (see ``RoadNetwork._cells_in_range``),
-and re-filters that candidate set with the exact distance.  The index
-therefore only affects speed, never results.  For the same reason each
-node pair's shortest path is searched once per network and then served
-from a memo.
+uniform grid index (cell size 100 m) in one equirectangular frame around
+the network's mean point: per kind, a table sorted by column-major cell key
+holds each node in its cell and each link in every cell its segments' boxes
+touch (``RoadNetwork._cell_table``).  A query reads, one run per column, the
+smallest box of cells that provably holds everything within its radius, by
+great-circle distance for nodes and by planar distance in the query point's
+own frame for links (see ``RoadNetwork._half_width``), and re-filters that
+candidate set with the exact distance.  The index therefore only affects
+speed, never results.  For the same reason each node pair's shortest path
+is searched once per network and then served from a memo.
 
 Snapping (``RoadNetwork.nearest_nodes``, which the matcher calls once per
-corpus; ``nearest_node`` is its one-point call) reads the node grid as
-arrays: node coordinates in the index frame, and node positions sorted by
-cell.  Only the nodes inside a point's box reach the exact great-circle
+corpus; ``nearest_node`` is its one-point call) reads the node table as
+arrays.  Only the nodes inside a point's box reach the exact great-circle
 distance and the ``(distance, id)`` tie-break; a point whose box has no
 bound is measured against every node.
 
@@ -26,7 +26,7 @@ gives the same float by construction: vertices projected into the query
 point's own frame, ``point_to_segment`` on each segment, ``math.hypot``
 once per segment, the minimum over the link's segments.  The links a
 radius query measures are those ``RoadNetwork._links_near`` reads from the
-link grid, which holds each link by its position in the sorted link ids.
+link table, which holds each link by its position in the sorted link ids.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
@@ -177,27 +178,16 @@ class RoadNetwork:
         nvert = np.fromiter(map(len, geoms), np.int64, len(geoms))
         self._link_nseg = nvert - 1
         self._link_seg0 = np.cumsum(self._link_nseg) - self._link_nseg
-        _, start = _ranges(np.cumsum(nvert) - nvert, self._link_nseg)
+        seg_link, start = _ranges(np.cumsum(nvert) - nvert, self._link_nseg)
         ends = np.stack([start, start + 1])
         self._seg_lonlat = np.stack([lon[ends], lat[ends]])
         self._link_fc = np.fromiter(
             (self.links[lid].functional_class for lid in self._link_ids), np.int64,
             len(self._link_ids))
 
-        # Each link's position in ``_link_ids`` is registered in every cell
-        # its segments' boxes touch.
         sx, sy = x[ends], y[ends]
         ix0, iy0 = (np.floor(v.min(axis=0) / GRID_CELL_M).astype(np.int64) for v in (sx, sy))
         ix1, iy1 = (np.floor(v.max(axis=0) / GRID_CELL_M).astype(np.int64) for v in (sx, sy))
-        self._grid: dict[tuple[int, int], list[int]] = {}
-        spans = zip(ix0.tolist(), iy0.tolist(), ix1.tolist(), iy1.tolist())
-        for k, nseg in enumerate(self._link_nseg.tolist()):
-            seen: set[tuple[int, int]] = set()
-            for a0, b0, a1, b1 in itertools.islice(spans, nseg):
-                seen.update(itertools.product(range(a0, a1 + 1), range(b0, b1 + 1)))
-            for c in seen:
-                self._grid.setdefault(c, []).append(k)
-
         self._node_x, self._node_y = x[vertices:].copy(), y[vertices:].copy()
         node_ix, node_iy = (np.floor(v / GRID_CELL_M).astype(np.int64)
                             for v in (self._node_x, self._node_y))
@@ -206,25 +196,37 @@ class RoadNetwork:
         self._cells_max = (int(ix1.max(initial=node_ix.max())),
                            int(iy1.max(initial=node_iy.max())))
 
-        # The node grid as arrays for nearest_nodes: index-frame coordinates
-        # by position in ``_node_ids``, and those positions sorted by cell
-        # key (column-major within the grid box, see ``_cell_key``), so the
-        # nodes of one column's cells between two rows form one run.
-        keys = self._cell_key(node_ix, node_iy)
-        self._node_order = np.argsort(keys, kind="stable")
-        self._node_keys = keys[self._node_order]
+        # Nodes as arrays for nearest_nodes, links as lists for _links_near.
+        self._node_keys, self._node_items = self._cell_table(
+            np.arange(len(self._node_ids)), node_ix, node_iy, node_ix, node_iy)
+        self._link_keys, self._link_items = (
+            v.tolist() for v in self._cell_table(seg_link, ix0, iy0, ix1, iy1))
 
-    def _cell_key(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        """Column-major position of cells inside the grid box."""
+    def _cell_table(self, items: np.ndarray, ix0: np.ndarray, iy0: np.ndarray,
+                    ix1: np.ndarray, iy1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell keys (:meth:`_cell_key`) and items, sorted by key, then item:
+        ``items[i]`` in each cell from ``(ix0[i], iy0[i])`` to ``(ix1[i],
+        iy1[i])``, and an item in overlapping boxes once per cell."""
+        rows = iy1 - iy0 + 1
+        box, cell = _ranges(np.zeros_like(rows), (ix1 - ix0 + 1) * rows)
+        keys = self._cell_key(ix0[box] + cell // rows[box], iy0[box] + cell % rows[box])
+        span = int(items.max(initial=0)) + 1
+        # Not np.unique (imports numpy.ma) or np.sort (maps in larger kernels).
+        pairs = keys * span + items[box]
+        pairs = pairs[np.argsort(pairs, kind="stable")]
+        return np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], span)
+
+    def _cell_key(self, ix, iy):
+        """Column-major position of a cell, or of arrays of cells, in the grid box."""
         rows = self._cells_max[1] - self._cells_min[1] + 1
         return (ix - self._cells_min[0]) * rows + (iy - self._cells_min[1])
 
     # -- spatial queries ------------------------------------------------
 
-    def _cells_in_range(
-        self, center: GeoPoint, radius: float
-    ) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Cell box holding every node and link within ``radius`` of ``center``.
+    def _half_width(self, center: GeoPoint, radius: float) -> float:
+        """East-west half-extent, in index metres and margin included, of
+        the query box around ``center`` that holds every node and link
+        within ``radius``; ``math.inf`` where no bound can be kept.
 
         The index frame is the projection around the network anchor
         (latitude phi0), so index metres are ``R*dphi`` north and
@@ -247,28 +249,12 @@ class RoadNetwork:
           of (lat, lon) per axis, so a segment stays a segment and that
           closest point lies in the index cells registered for it.
 
-        The half-width (:meth:`_half_width`) is ``R*cos(phi0)`` times the
-        haversine ``|dlam|`` bound; both half-extents get ``BOX_MARGIN_M``
-        for rounding.  Where the bound cannot be kept (the disc reaches a
-        pole, or the longitude range reaches the antimeridian, across which
-        haversine wraps and the index frame does not) the box is the whole
-        grid.
+        The half-width is ``R*cos(phi0)`` times the haversine ``|dlam|``
+        bound; both half-extents get ``BOX_MARGIN_M`` for rounding.  Where
+        the bound cannot be kept (the disc reaches a pole, or the longitude
+        range reaches the antimeridian, across which haversine wraps and
+        the index frame does not) the query reads every node or link.
         """
-        half_w = self._half_width(center, radius)
-        if half_w == math.inf:
-            return self._cells_min, self._cells_max
-        half_h = radius + BOX_MARGIN_M
-        x, y, _ = project(center, self._anchor)
-        ix0 = max(math.floor((x - half_w) / GRID_CELL_M), self._cells_min[0])
-        iy0 = max(math.floor((y - half_h) / GRID_CELL_M), self._cells_min[1])
-        ix1 = min(math.floor((x + half_w) / GRID_CELL_M), self._cells_max[0])
-        iy1 = min(math.floor((y + half_h) / GRID_CELL_M), self._cells_max[1])
-        return (ix0, iy0), (ix1, iy1)
-
-    def _half_width(self, center: GeoPoint, radius: float) -> float:
-        """East-west half-extent of the query box around ``center``, in index
-        metres, margin included; ``math.inf`` where no bound can be kept.
-        See :meth:`_cells_in_range` for the bound."""
         lat_reach = abs(math.radians(center.lat)) + radius / EARTH_RADIUS_M
         s = math.inf
         if lat_reach < 0.5 * math.pi:
@@ -280,13 +266,25 @@ class RoadNetwork:
 
     def _links_near(self, center: GeoPoint, radius: float) -> np.ndarray:
         """Positions in ``_link_ids`` of the links registered in the cells of
-        :meth:`_cells_in_range`'s box: every link within ``radius`` of
-        ``center``, and others."""
-        (ix0, iy0), (ix1, iy1) = self._cells_in_range(center, radius)
-        out: set[int] = set()
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                out.update(self._grid.get((ix, iy), ()))
+        ``center``'s query box (:meth:`_half_width`), each once: every link
+        within ``radius`` of ``center``, and others.  A box without a bound
+        gives every link."""
+        half_w = self._half_width(center, radius)
+        if half_w == math.inf:
+            return np.arange(len(self._link_ids))
+        half_h = radius + BOX_MARGIN_M
+        x, y, _ = project(center, self._anchor)
+        ix0 = max(math.floor((x - half_w) / GRID_CELL_M), self._cells_min[0])
+        iy0 = max(math.floor((y - half_h) / GRID_CELL_M), self._cells_min[1])
+        ix1 = min(math.floor((x + half_w) / GRID_CELL_M), self._cells_max[0])
+        iy1 = min(math.floor((y + half_h) / GRID_CELL_M), self._cells_max[1])
+        # One run of the link table per box column, as in _snap_batch.
+        keys, items, out = self._link_keys, self._link_items, set()
+        first = self._cell_key(ix0, iy0)
+        rows = self._cell_key(ix0 + 1, iy0) - first
+        for key in range(first, self._cell_key(ix1, iy0) + 1, rows):
+            lo = bisect_left(keys, key)
+            out.update(items[lo:bisect_right(keys, key + iy1 - iy0, lo)])
         return np.fromiter(out, np.int64, len(out))
 
     def link_distances(self, p: GeoPoint, links: np.ndarray) -> np.ndarray:
@@ -346,7 +344,7 @@ class RoadNetwork:
         ``SNAP_BATCH`` points; ``None`` where none lies within ``within``
         meters.
 
-        Each point's box has the half-extents :meth:`_cells_in_range` gives
+        Each point's box has the half-extents :meth:`_half_width` gives
         it, and only the nodes inside the box get the exact distance, the
         ``within`` test and the ``(distance, id)`` tie-break.  A point whose
         box has no bound (pole, antimeridian) gets the same three against
@@ -380,7 +378,7 @@ class RoadNetwork:
         lo = np.searchsorted(self._node_keys, self._cell_key(ix, iy0[col_row]), "left")
         hi = np.searchsorted(self._node_keys, self._cell_key(ix, iy1[col_row]), "right")
         run, at = _ranges(lo, hi - lo)
-        row, node = col_row[run], self._node_order[at]
+        row, node = col_row[run], self._node_items[at]
         inside = (np.abs(self._node_x[node] - x[row]) <= half_w[row]) & \
             (np.abs(self._node_y[node] - y[row]) <= half_h)
 
@@ -389,7 +387,7 @@ class RoadNetwork:
         unbounded = np.flatnonzero(~bounded)
         pairs = itertools.chain(
             zip(rows[row[inside]].tolist(), node[inside].tolist()),
-            itertools.product(unbounded.tolist(), range(len(self._node_ids))),
+            ((i, k) for i in unbounded.tolist() for k in range(len(self._node_ids))),
         )
         best: list[tuple[float, NodeId] | None] = [None] * len(points)
         for i, k in pairs:

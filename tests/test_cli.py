@@ -90,11 +90,16 @@ class TestSynthCommands:
         assert "spacing must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_csv_network_output(self, inputs, tmp_path):
-        out = tmp_path / "net.csv"
-        assert main(["synth", "network", "--rows", "4", "--cols", "3",
-                     "--out", str(out)]) == 0
-        assert len(formats.load_network(out).nodes) == 12
+    def test_network_output_by_extension(self, tmp_path, capsys):
+        # The writer takes exactly the extensions that load_network reads.
+        argv = ["synth", "network", "--rows", "4", "--cols", "3", "--out"]
+        for name in ("net.csv", "net.geojson", "net.json", "NET.GeoJSON"):
+            assert main([*argv, str(tmp_path / name)]) == 0
+            assert len(formats.load_network(tmp_path / name).nodes) == 12
+        out = tmp_path / "sub" / "net.txt"
+        assert main([*argv, str(out)]) == 2
+        assert "unsupported network format '.txt'" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestPrivatizeCommand:

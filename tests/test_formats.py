@@ -7,6 +7,7 @@ import pytest
 from dpmobility import formats
 from dpmobility.aggregate import Window, aggregate
 from dpmobility.errors import InputFormatError
+from dpmobility.geometry import GeoPoint
 from dpmobility.privatize import PrivacyConfig, privatize_aggregate
 from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 
@@ -46,6 +47,13 @@ class TestNetworkFiles:
         assert formats.load_network(tmp / "n.csv").links == net.links
         with pytest.raises(InputFormatError):
             formats.load_network(tmp / "n.xml")
+        # save_network writes what load_network reads, and only that.
+        for name in ("n.csv", "n.geojson", "n.json"):
+            formats.save_network(net, tmp / "saved" / name)
+            assert formats.load_network(tmp / "saved" / name).links == net.links
+        with pytest.raises(InputFormatError, match="unsupported network format '.txt'"):
+            formats.save_network(net, tmp / "txt" / "n.txt")
+        assert not (tmp / "txt").exists()
 
     def test_length_computed_when_absent(self, setup, tmp_path):
         net, _, _, _ = setup
@@ -65,6 +73,28 @@ class TestNetworkFiles:
         path.write_text(json.dumps(doc))
         loaded = formats.load_network_geojson(path)
         assert loaded.links["L"].length_m == pytest.approx(111.19, abs=0.1)
+
+    @pytest.mark.parametrize("coordinates, ok", [
+        ([[-122.3, 37.8, 12.5], [-122.3, 37.801, 13.0, 0.0]], True),
+        ([[-122.3, 37.8], [-122.3, 37.801, -4.0]], True),
+        ([[-122.3, 37.8], [-122.3]], False),
+        ([[-122.3, 37.8], []], False),
+    ], ids=["altitudes", "one-altitude", "one-number", "no-number"])
+    def test_position_numbers_after_the_second_ignored(self, tmp_path, coordinates, ok):
+        # RFC 7946 allows an altitude, or more, after longitude and latitude.
+        path = tmp_path / "alt.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": coordinates},
+            "properties": {"id": "L", "from": "a", "to": "b", "fc": 3, "speed_mps": 12.0},
+        }]}))
+        if not ok:
+            with pytest.raises(InputFormatError) as err:
+                formats.load_network_geojson(path)
+            assert err.value.path == f"{path} (feature 0)"
+            return
+        link = formats.load_network_geojson(path).links["L"]
+        assert link.geometry == tuple(GeoPoint(lat, lon) for lon, lat, *_ in coordinates)
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.geojson"

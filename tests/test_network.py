@@ -58,6 +58,12 @@ class TestValidation:
         with pytest.raises(NetworkError):
             Link("L", "a", "b", (a, b), 120.0, 6, 10.0)
 
+    def test_link_key_must_match_link_id(self):
+        a, b = GeoPoint(0, 0), GeoPoint(0, 0.001)
+        link = Link("L", "a", "b", (a, b), 112.0, 4, 10.0)
+        with pytest.raises(NetworkError, match="link key 'M' does not match link id 'L'"):
+            RoadNetwork({"a": a, "b": b}, {"M": link})
+
     def test_adjacency_consistent(self):
         net = grid3x3()
         for nid, out in net._out.items():
@@ -197,6 +203,64 @@ class TestLinkDistances:
         dx, dy = 0.0 - c.x, 0.0 - c.y
         assert net.link_distances(p, np.array([0]))[0] == math.hypot(dx, dy)
         assert math.hypot(dx, dy) == reference.distance_to_link(net, p, "L")
+
+
+# Two polylines that double back across the same few cells, so their
+# segments' boxes overlap, and a straight link through them.
+ZIGZAGS = (
+    ((0.0, 0.0), (180.0, 40.0), (20.0, 80.0), (190.0, 120.0), (10.0, 160.0),
+     (170.0, 30.0), (30.0, 190.0)),
+    ((150.0, -60.0), (260.0, 10.0), (140.0, 20.0), (250.0, 90.0), (120.0, 110.0)),
+    ((-80.0, 90.0), (320.0, 95.0)),
+)
+
+
+def brute_force_tables(net: RoadNetwork) -> tuple[list, list]:
+    """The node and link tables as ``(cell key, position)`` pairs, each
+    node registered in its cell and each link in every cell of each
+    segment's box, found one point at a time."""
+    def cell(p: GeoPoint) -> tuple[int, int]:
+        q = project(p, net._anchor)
+        return math.floor(q.x / network_module.GRID_CELL_M), \
+            math.floor(q.y / network_module.GRID_CELL_M)
+
+    nodes = {(cell(net.nodes[nid]), k) for k, nid in enumerate(net._node_ids)}
+    links = set()
+    for k, lid in enumerate(net._link_ids):
+        cells = [cell(g) for g in net.links[lid].geometry]
+        for (ax, ay), (bx, by) in zip(cells, cells[1:]):
+            links.update(((ix, iy), k) for ix in range(min(ax, bx), max(ax, bx) + 1)
+                         for iy in range(min(ay, by), max(ay, by) + 1))
+    x0 = min(ix for (ix, _), _ in nodes | links)
+    y0 = min(iy for (_, iy), _ in nodes | links)
+    rows = max(iy for (_, iy), _ in nodes | links) - y0 + 1
+    return tuple(sorted(((ix - x0) * rows + iy - y0, k) for (ix, iy), k in pairs)
+                 for pairs in (nodes, links))
+
+
+class TestCellTables:
+    @pytest.mark.parametrize("build", [
+        lambda city20: city20,
+        lambda city20: random_network(np.random.default_rng(5), 14, GeoPoint(37.8, 11.0)),
+        lambda city20: random_network(np.random.default_rng(6), 14, GeoPoint(-60.0, 179.9)),
+        lambda city20: polyline_network(BASE, ZIGZAGS),
+    ], ids=["city20", "random", "random-south-east", "zigzags"])
+    def test_tables_hold_the_brute_force_registration(self, city20, build):
+        net = build(city20)
+        nodes, links = brute_force_tables(net)
+        assert list(zip(net._node_keys.tolist(), net._node_items.tolist())) == nodes
+        assert list(zip(net._link_keys, net._link_items)) == links
+
+    def test_zigzag_links_measured_once_per_query(self, measured_links):
+        net = polyline_network(BASE, ZIGZAGS)
+        for east, north in itertools.product(range(-150, 400, 50), range(-150, 300, 50)):
+            center = offset_point(BASE, float(east), float(north))
+            for radius in (0.0, 20.0, 60.0, 150.0, 400.0):
+                measured_links.clear()
+                assert net.links_within(center, radius) == \
+                    reference.within(net, center, radius)
+                (measured,) = measured_links
+                assert len(measured) == len(set(measured))
 
 
 class TestNearestNode:
@@ -416,7 +480,7 @@ class TestRadiusQueriesAtHighLatitude:
         net = random_network(np.random.default_rng(90), 12, base, span_m=2000.0)
         center = offset_point(base, 1000.0, 9000.0)  # about 2 km from the pole
         radius = DEFAULT_MAX_BUFFER_M
-        assert net._cells_in_range(center, radius) == (net._cells_min, net._cells_max)
+        assert sorted(net._links_near(center, radius).tolist()) == list(range(len(net.links)))
         assert net.links_within(center, radius) == reference.within(net, center, radius)
 
 

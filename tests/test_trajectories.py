@@ -91,6 +91,15 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             GpsTrajectory(device="d1", samples=(s[1], s[0]))
 
+    @pytest.mark.parametrize("trip_device, other", [("d1", 1), ("d1", 2), ("d2", None)],
+                             ids=["second-sample", "last-sample", "trip-device"])
+    def test_requires_one_device(self, trip_device, other):
+        s = samples_with_gaps([30.0, 30.0])
+        if other is not None:
+            s[other] = GpsSample(device="d2", t=s[other].t, point=s[other].point)
+        with pytest.raises(ValueError, match="mixed devices within one trip"):
+            GpsTrajectory(device=trip_device, samples=tuple(s))
+
     def test_link_trajectory_needs_links(self):
         with pytest.raises(ValueError):
             LinkTrajectory(device="d", links=())
