@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -29,10 +30,7 @@ class AggregatedMobilityNetwork:
 def compute_link_counts(corpus: Iterable[LinkTrajectory]) -> dict[LinkId, int]:
     """Per-occurrence link tally: every traversal counts, including repeats
     of a link inside a single trip."""
-    counts: Counter[LinkId] = Counter()
-    for trip in corpus:
-        counts.update(trip.links)
-    return dict(counts)
+    return dict(Counter(itertools.chain.from_iterable(trip.links for trip in corpus)))
 
 
 def aggregate(

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .aggregate import AggregatedMobilityNetwork
 from .errors import InputFormatError, NetworkError
-from .geometry import GeoPoint, haversine_distance
+from .geometry import GeoPoint, fold_sum, haversine_distance
 from .network import Link, LinkId, NodeId, RoadNetwork
 from .privatize import EndpointDecision, PrivatizationReport
 from .trajectories import (
@@ -143,7 +143,7 @@ def _whole(value) -> int:
 def _link_from_properties(props: dict, geometry: tuple[GeoPoint, ...]) -> Link:
     length = props.get("length_m")
     if length in (None, ""):
-        length = sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
+        length = fold_sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
     return Link(
         id=str(props["id"]),
         from_node=str(props["from"]),
@@ -235,7 +235,9 @@ def _save_links_geojson(links: Iterable[tuple[Link, dict]], path: str | Path) ->
 
 
 def save_network_geojson(net: RoadNetwork, path: str | Path) -> None:
+    """Write ``net`` as GeoJSON LineStrings, creating ``path``'s directory."""
     links = (net.links[lid] for lid in sorted(net.links))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     _save_links_geojson(
         ((link, {"from": link.from_node, "to": link.to_node, "speed_mps": link.speed_mps})
          for link in links),
@@ -256,14 +258,21 @@ def load_network_csv(path: str | Path) -> RoadNetwork:
 
 
 def save_network_csv(net: RoadNetwork, path: str | Path) -> None:
+    """Write ``net`` as a straight-line edge list, creating ``path``'s
+    directory.  A link with more than two vertices would load back
+    straight, so it raises ``ValueError`` before anything is created."""
     rows = []
     for lid in sorted(net.links):
         link = net.links[lid]
-        a, b = link.geometry[0], link.geometry[-1]
+        if len(link.geometry) > 2:
+            raise ValueError(f"link {lid!r} has {len(link.geometry)} vertices; "
+                             "a network CSV holds straight links only")
+        a, b = link.geometry
         rows.append(
             (link.id, link.from_node, link.to_node, a.lat, a.lon, b.lat, b.lon,
              link.functional_class, link.speed_mps, link.length_m)
         )
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     _write_csv(path, NETWORK_CSV_COLUMNS, rows)
 
 
@@ -289,11 +298,9 @@ def load_network(path: str | Path) -> RoadNetwork:
 
 def save_network(net: RoadNetwork, path: str | Path) -> None:
     """Write ``net`` in the format :func:`load_network` reads from
-    ``path``'s extension, creating its directory; an unsupported extension
-    raises before anything is created."""
-    save = _network_format(path)[1]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    save(net, path)
+    ``path``'s extension, creating its directory; an unsupported extension,
+    or a link the format cannot hold, raises before anything is created."""
+    _network_format(path)[1](net, path)
 
 
 # -- trips -----------------------------------------------------------------

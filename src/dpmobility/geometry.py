@@ -9,8 +9,10 @@ needed.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
+import operator
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -135,3 +137,13 @@ def point_to_segment(
     cx = ax + t * vx
     cy = ay + t * vy
     return math.hypot(p.x - cx, p.y - cy), PlanarPoint(cx, cy, a.anchor)
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """``values`` added one at a time, left to right, from 0.0.
+
+    Builtin ``sum`` compensates float rounding since Python 3.12, so its
+    float result depends on the interpreter; this fold gives the bits of
+    3.10 and 3.11 on every version.
+    """
+    return functools.reduce(operator.add, values, 0.0)

@@ -7,9 +7,11 @@ by shortest paths, and consecutive duplicate links collapse.  Probabilistic
 
 Snapping and path building are separate steps.  Samples snap through
 :meth:`RoadNetwork.nearest_nodes`, whose array passes pay off over many
-points, so ``privatize.match_corpus`` snaps a whole corpus in one call;
-:func:`match_snapped` then builds one trip's links from its slice of the
-snapped nodes.  :func:`match_trajectory` is both steps for one trip.
+points, so ``privatize.match_corpus`` snaps a whole corpus in one call and
+hands every leg of it to :meth:`RoadNetwork.route`, which searches once
+per from-node; :func:`match_snapped` then builds one trip's links from its
+slice of the snapped nodes.  :func:`match_trajectory` is both steps for
+one trip.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from typing import Mapping, Sequence
 
 from .aggregate import AggregatedMobilityNetwork, aggregate
 from .errors import WindowMismatchError
+from .geometry import fold_sum
 from .matching import MatchConfig
 from .network import LinkId, NodeId, RoadNetwork
 from .noise import validate_epsilon
@@ -44,7 +45,7 @@ COMPARE_COLUMNS = (
 
 def network_length(agg: AggregatedMobilityNetwork, net: RoadNetwork) -> float:
     """Total length in miles of the links active in the aggregation."""
-    return sum(net.links[lid].length_m for lid in agg.counts) / METERS_PER_MILE
+    return fold_sum(net.links[lid].length_m for lid in agg.counts) / METERS_PER_MILE
 
 
 def utility(

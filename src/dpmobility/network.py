@@ -10,7 +10,10 @@ great-circle distance for nodes and by planar distance in the query point's
 own frame for links (see ``RoadNetwork._half_width``), and re-filters that
 candidate set with the exact distance.  The index therefore only affects
 speed, never results.  For the same reason each node pair's shortest path
-is searched once per network and then served from a memo.
+is searched at most once per network and then served from a memo.
+``RoadNetwork.route`` fills the memo for a batch of legs with one Dijkstra
+per from-node, which stops once that node's targets are settled; the
+matcher hands it a whole corpus's legs.  No search state outlives a call.
 
 Snapping (``RoadNetwork.nearest_nodes``, which the matcher calls once per
 corpus; ``nearest_node`` is its one-point call) reads the node table as
@@ -36,7 +39,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .errors import NetworkError, NoCandidateError, NoPathError
 from .geometry import (
     EARTH_RADIUS_M,
     GeoPoint,
+    fold_sum,
     haversine_distance,
     project,
     project_batch,
@@ -99,7 +103,8 @@ class Link:
         if not (0.0 < self.length_m < math.inf):
             raise NetworkError(f"link {self.id!r}: length must be finite and positive: "
                                f"{self.length_m}")
-        chords = sum(haversine_distance(a, b) for a, b in zip(self.geometry, self.geometry[1:]))
+        chords = fold_sum(haversine_distance(a, b)
+                          for a, b in zip(self.geometry, self.geometry[1:]))
         if self.length_m < 0.999 * chords:
             raise NetworkError(
                 f"link {self.id!r}: length {self.length_m:.2f} m inconsistent with "
@@ -131,12 +136,12 @@ class RoadNetwork:
 
         # Search outcomes by (from node, to node): the link path, or None
         # when there is none.  The network never changes, so each pair is
-        # searched once per instance.
+        # searched at most once per instance.
         self._paths: dict[tuple[NodeId, NodeId], tuple[LinkId, ...] | None] = {}
 
         lats = [p.lat for p in self.nodes.values()]
         lons = [p.lon for p in self.nodes.values()]
-        self._anchor = GeoPoint(sum(lats) / len(lats), sum(lons) / len(lons))
+        self._anchor = GeoPoint(fold_sum(lats) / len(lats), fold_sum(lons) / len(lons))
         self._build_index()
 
     # -- construction ---------------------------------------------------
@@ -404,39 +409,69 @@ class RoadNetwork:
 
         Deterministic: among equal-length paths the lexicographically
         smallest link sequence wins.  Returns ``[]`` when the endpoints
-        coincide; raises :class:`NoPathError` when unreachable.  Each node
-        pair is searched once per network; every call returns a new list.
+        coincide; raises :class:`NoPathError` when unreachable.  A pair not
+        yet memoized is searched by :meth:`route`, as a one-leg batch; every
+        call returns a new list.
         """
-        if from_node not in self.nodes:
-            raise NetworkError(f"unknown node {from_node!r}")
-        if to_node not in self.nodes:
-            raise NetworkError(f"unknown node {to_node!r}")
+        key = (from_node, to_node)
+        if key not in self._paths:
+            self.route([key])
         if from_node == to_node:
             return []
-        key = (from_node, to_node)
-        if key in self._paths:
-            path = self._paths[key]
-        else:
-            path = self._paths[key] = self._search(from_node, to_node)
+        path = self._paths[key]
         if path is None:
             raise NoPathError(from_node, to_node)
         return list(path)
 
-    def _search(self, from_node: NodeId, to_node: NodeId) -> tuple[LinkId, ...] | None:
-        """Dijkstra over ``(length, link path)``; ``None`` when unreachable."""
+    def route(self, legs: Iterable[tuple[NodeId, NodeId]]) -> None:
+        """Memoize the shortest path of every leg ``(from node, to node)``
+        for :meth:`shortest_path`, with one search per from-node.
+
+        The legs not yet memoized are grouped by from-node, and each group
+        is one :meth:`_search` that stops once all of its to-nodes are
+        settled.  Legs whose ends coincide need no search.  Raises
+        :class:`NetworkError` for an unknown node, before any search.
+        """
+        targets: dict[NodeId, set[NodeId]] = {}
+        for leg in legs:
+            for node in leg:
+                if node not in self.nodes:
+                    raise NetworkError(f"unknown node {node!r}")
+            if leg[0] != leg[1] and leg not in self._paths:
+                targets.setdefault(leg[0], set()).add(leg[1])
+        for source, ends in targets.items():
+            found = self._search(source, ends)
+            for end in ends:
+                self._paths[source, end] = found.get(end)
+
+    def _search(self, from_node: NodeId, to_nodes: Collection[NodeId]
+                ) -> dict[NodeId, tuple[LinkId, ...]]:
+        """Dijkstra over ``(length, link path)`` from ``from_node`` until every
+        node of ``to_nodes`` is settled: the path to each reachable one.
+
+        The order in which nodes settle depends on ``from_node`` alone
+        (heap entries never tie, because two entries with the same path
+        reach the same node), so each target gets the path a search for it
+        alone returns.  Nothing is kept once the call returns: a search tree
+        held per source would span most of the graph for the long routes
+        ``synth.generate_trips`` asks for.
+        """
         heap: list[tuple[float, tuple[LinkId, ...], NodeId]] = [(0.0, (), from_node)]
         settled: set[NodeId] = set()
+        found: dict[NodeId, tuple[LinkId, ...]] = {}
         while heap:
             dist, path, node = heapq.heappop(heap)
             if node in settled:
                 continue
             settled.add(node)
-            if node == to_node:
-                return path
+            if node in to_nodes:
+                found[node] = path
+                if len(found) == len(to_nodes):
+                    break
             for lid, head, length in self._out[node]:
                 if head not in settled:
                     heapq.heappush(heap, (dist + length, path + (lid,), head))
-        return None
+        return found
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

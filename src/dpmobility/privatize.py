@@ -45,6 +45,7 @@ endpoint links, and clipping runs of unique links inward from both ends.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -66,7 +67,7 @@ from .matching import MatchConfig, match_noisy_endpoint, match_snapped, rebuild_
 # module's name because bench/tracing.py wraps ``privatize.match_trajectory``.
 from .matching import match_trajectory  # noqa: F401
 from .geometry import GeoPoint, displace
-from .network import LinkId, RoadNetwork
+from .network import LinkId, NodeId, RoadNetwork
 # ``perturb`` is not called here; it stays importable under this module's
 # name because bench/tracing.py wraps ``privatize.perturb``.
 from .noise import perturb  # noqa: F401
@@ -168,9 +169,13 @@ def match_corpus(
     unmatchable trips become None.
 
     Every sample of the corpus snaps in one
-    :meth:`RoadNetwork.nearest_nodes` call; each trip's links are then built
-    from its slice of the result by :func:`match_snapped`, so a trip matches
-    exactly as :func:`match_trajectory` matches it alone.
+    :meth:`RoadNetwork.nearest_nodes` call.  Every leg between consecutive
+    distinct snapped nodes of a trip then goes to one
+    :meth:`RoadNetwork.route` call, which searches once per from-node
+    rather than once per leg.  Each trip's links are built from its slice
+    of the snapped nodes by :func:`match_snapped`, which finds its legs
+    memoized, so a trip matches exactly as :func:`match_trajectory` matches
+    it alone.
 
     Returns (aligned list, number of unmatchable trips).
     ``utc_offset_hours`` is ignored: a matched trip carries no time.  It is
@@ -179,12 +184,17 @@ def match_corpus(
     nodes = net.nearest_nodes(
         [s.point for g in gps_corpus for s in g.samples], match_cfg.snap_radius_m
     )
-    matched: list[LinkTrajectory | None] = []
+    snapped: list[list[NodeId | None]] = []
     end = 0
     for g in gps_corpus:
         start, end = end, end + len(g.samples)
+        snapped.append(nodes[start:end])
+    net.route((a, b) for trip in snapped
+              for a, b in itertools.pairwise(n for n in trip if n is not None) if a != b)
+    matched: list[LinkTrajectory | None] = []
+    for g, trip in zip(gps_corpus, snapped):
         try:
-            matched.append(match_snapped(g.device, nodes[start:end], net, match_cfg))
+            matched.append(match_snapped(g.device, trip, net, match_cfg))
         except UnmatchableError:
             matched.append(None)
     return matched, matched.count(None)
@@ -460,7 +470,9 @@ def _clip_ends(corpus: Sequence[LinkTrajectory], per_end: float) -> list[LinkTra
             while links and clipped < per_end and counts[links[end]] == 1:
                 links.pop(end)
                 clipped += 1
-        out.append(replace(t, links=tuple(links)) if links else None)
+        if len(links) < len(t.links):
+            t = replace(t, links=tuple(links)) if links else None
+        out.append(t)
     return out
 
 

@@ -9,7 +9,7 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 
 from .errors import NoPathError
-from .geometry import EARTH_RADIUS_M, GeoPoint, displace, haversine_distance
+from .geometry import EARTH_RADIUS_M, GeoPoint, displace, fold_sum, haversine_distance
 from .network import Link, LinkId, NodeId, RoadNetwork
 from .trajectories import DEFAULT_UTC_OFFSET_H, GpsSample, GpsTrajectory, LinkTrajectory, Window
 
@@ -142,7 +142,7 @@ def _route_points(net: RoadNetwork, route: list[LinkId]) -> tuple[list[GeoPoint]
         link = net.links[lid]
         geom = link.geometry
         chords = [haversine_distance(a, b) for a, b in zip(geom, geom[1:])]
-        total = sum(chords) or 1.0
+        total = fold_sum(chords) or 1.0
         if not pts:
             pts.append(geom[0])
             cum.append(0.0)
@@ -225,7 +225,7 @@ def generate_trips(
 
         routes = [net.shortest_path(o, d) for _, o, d in plan]
         durations = [
-            sum(net.links[lid].length_m / net.links[lid].speed_mps for lid in route)
+            fold_sum(net.links[lid].length_m / net.links[lid].speed_mps for lid in route)
             for route in routes
         ]
 

@@ -74,6 +74,27 @@ def random_network(rng: np.random.Generator, n_nodes: int, base: GeoPoint,
     return make_network(nodes_m, edges, base)
 
 
+def polyline_network(base: GeoPoint, polylines) -> RoadNetwork:
+    """One link ``L<k>`` per polyline of (east, north) offsets in meters."""
+    nodes, links = {}, {}
+    for k, offsets in enumerate(polylines):
+        geometry = tuple(offset_point(base, east, north) for east, north in offsets)
+        nodes[f"a{k}"], nodes[f"b{k}"] = geometry[0], geometry[-1]
+        chords = sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
+        links[f"L{k}"] = Link(f"L{k}", f"a{k}", f"b{k}", geometry, chords + 1.0, 4, 10.0)
+    return RoadNetwork(nodes, links)
+
+
+# Two polylines that double back across the same few cells, so their
+# segments' boxes overlap, and a straight link through them.
+ZIGZAGS = (
+    ((0.0, 0.0), (180.0, 40.0), (20.0, 80.0), (190.0, 120.0), (10.0, 160.0),
+     (170.0, 30.0), (30.0, 190.0)),
+    ((150.0, -60.0), (260.0, 10.0), (140.0, 20.0), (250.0, 90.0), (120.0, 110.0)),
+    ((-80.0, 90.0), (320.0, 95.0)),
+)
+
+
 def integer_length_network(rng: np.random.Generator, n_nodes: int) -> RoadNetwork:
     """Random digraph on a 100 m lattice whose links have whole-100 m lengths."""
     cells = rng.choice(16, size=n_nodes, replace=False)

@@ -11,6 +11,8 @@ from dpmobility.geometry import GeoPoint
 from dpmobility.privatize import PrivacyConfig, privatize_aggregate
 from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 
+from conftest import BASE, ZIGZAGS, polyline_network
+
 DAYS = (date(2026, 1, 6), date(2026, 1, 7))
 
 
@@ -54,6 +56,18 @@ class TestNetworkFiles:
         with pytest.raises(InputFormatError, match="unsupported network format '.txt'"):
             formats.save_network(net, tmp / "txt" / "n.txt")
         assert not (tmp / "txt").exists()
+
+    def test_polyline_links_refused_by_csv(self, tmp_path):
+        # A CSV row holds a link's two ends only, so a polyline would load
+        # back straight; GeoJSON keeps every vertex.
+        net = polyline_network(BASE, ZIGZAGS)
+        with pytest.raises(ValueError, match="link 'L0' has 7 vertices"):
+            formats.save_network(net, tmp_path / "csv" / "x.csv")
+        assert not (tmp_path / "csv").exists()
+        formats.save_network(net, tmp_path / "geojson" / "x.geojson")
+        loaded = formats.load_network(tmp_path / "geojson" / "x.geojson")
+        assert loaded.links == net.links
+        assert loaded.nodes == net.nodes
 
     def test_length_computed_when_absent(self, setup, tmp_path):
         net, _, _, _ = setup

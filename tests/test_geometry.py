@@ -1,16 +1,21 @@
+import json
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmobility import formats, metrics, network, synth
+from dpmobility.aggregate import AggregatedMobilityNetwork, aggregate
 from dpmobility.errors import DisplacementRangeError
 from dpmobility.geometry import (
     GeoPoint,
     PlanarPoint,
     displace,
     displace_batch,
+    fold_sum,
     haversine_distance,
     point_to_segment,
     project,
@@ -19,6 +24,7 @@ from dpmobility.geometry import (
 )
 
 import reference
+from conftest import make_network
 
 ONE_DEGREE_M = 2 * math.pi * 6_371_000.0 / 360.0
 
@@ -150,3 +156,62 @@ class TestValidation:
 
     def test_accepts_bounds(self):
         assert validate_geopoint(GeoPoint(-90.0, 180.0)) == GeoPoint(-90.0, 180.0)
+
+
+class TestFoldSum:
+    """Float sums in the modules whose outputs are recorded are left folds,
+    so Python 3.12's compensated builtin ``sum`` changes none of them."""
+
+    MODULES = (formats, metrics, network, synth)
+
+    @staticmethod
+    def pipeline(tmp_path):
+        net = synth.generate_city(synth.SynthCityConfig(rows=5, cols=5, spacing_m=100.0, seed=3))
+        gps, truth = synth.generate_trips(net, synth.SynthTripConfig(
+            n_trips=30, n_devices=10, days=(date(2026, 1, 6),), seed=5))
+        # A network file without lengths makes the reader sum the chords.
+        path = tmp_path / "net.geojson"
+        formats.save_network(net, path)
+        doc = json.loads(path.read_text())
+        for feature in doc["features"]:
+            del feature["properties"]["length_m"]
+        path.write_text(json.dumps(doc))
+        loaded = formats.load_network(path)
+        return (net._anchor, net.links, gps, truth, loaded.links,
+                metrics.network_length(aggregate(truth), loaded))
+
+    def test_left_fold(self):
+        assert fold_sum((1.0, 1e16, 1.0)) == 1e16
+        assert fold_sum(iter([0.1] * 10)) == 0.9999999999999999
+        assert fold_sum(()) == 0.0
+
+    def test_outputs_do_not_depend_on_builtin_sum(self, tmp_path, monkeypatch):
+        floats_summed = []
+
+        def compensated_sum(values, start=0):
+            """Builtin ``sum`` as Python 3.12 adds floats (Neumaier)."""
+            values = list(values)
+            if all(isinstance(v, int) for v in values):
+                return sum(values, start)
+            floats_summed.append(values)
+            total, c = float(start), 0.0
+            for x in values:
+                t = total + x
+                c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + c if c and math.isfinite(c) else total
+
+        assert compensated_sum((1.0, 1e16, 1.0)) == 1e16 + 2.0
+        floats_summed.clear()
+        before = self.pipeline(tmp_path / "before")
+        for module in self.MODULES:
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+        assert self.pipeline(tmp_path / "after") == before
+
+        nodes = {"a": (0.0, 0.0), "b": (0.5, 0.0), "c": (1.0, 0.0), "d": (1.5, 0.0)}
+        net = make_network(nodes, [("x", "a", "b", {"length_m": 1.0}),
+                                   ("y", "b", "c", {"length_m": 1e16}),
+                                   ("z", "c", "d", {"length_m": 1.0})])
+        agg = AggregatedMobilityNetwork(counts={"x": 1, "y": 1, "z": 1})
+        assert metrics.network_length(agg, net) == 1e16 / metrics.METERS_PER_MILE
+        assert floats_summed == []

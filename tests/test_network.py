@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from datetime import date
@@ -16,8 +17,8 @@ from dpmobility.privatize import match_corpus
 from dpmobility.synth import SynthCityConfig, SynthTripConfig, generate_city, generate_trips
 
 import reference
-from conftest import (BASE, grid3x3, integer_length_network, make_network, offset_point,
-                      random_network)
+from conftest import (BASE, ZIGZAGS, grid3x3, integer_length_network, make_network, offset_point,
+                      polyline_network, random_network)
 
 
 def with_tie_and_dup(nodes: dict[str, GeoPoint], base: GeoPoint,
@@ -131,17 +132,6 @@ class TestNearestLink:
             grid3x3().nearest_link(BASE, set())
 
 
-def polyline_network(base: GeoPoint, polylines) -> RoadNetwork:
-    """One link ``L<k>`` per polyline of (east, north) offsets in meters."""
-    nodes, links = {}, {}
-    for k, offsets in enumerate(polylines):
-        geometry = tuple(offset_point(base, east, north) for east, north in offsets)
-        nodes[f"a{k}"], nodes[f"b{k}"] = geometry[0], geometry[-1]
-        chords = sum(haversine_distance(a, b) for a, b in zip(geometry, geometry[1:]))
-        links[f"L{k}"] = Link(f"L{k}", f"a{k}", f"b{k}", geometry, chords + 1.0, 4, 10.0)
-    return RoadNetwork(nodes, links)
-
-
 # Polyline vertices on a 25 m lattice, so that repeated vertices (zero-length
 # segments) and collinear runs come up often.
 VERTEX = st.tuples(st.integers(-4, 4).map(lambda i: 25.0 * i),
@@ -203,16 +193,6 @@ class TestLinkDistances:
         dx, dy = 0.0 - c.x, 0.0 - c.y
         assert net.link_distances(p, np.array([0]))[0] == math.hypot(dx, dy)
         assert math.hypot(dx, dy) == reference.distance_to_link(net, p, "L")
-
-
-# Two polylines that double back across the same few cells, so their
-# segments' boxes overlap, and a straight link through them.
-ZIGZAGS = (
-    ((0.0, 0.0), (180.0, 40.0), (20.0, 80.0), (190.0, 120.0), (10.0, 160.0),
-     (170.0, 30.0), (30.0, 190.0)),
-    ((150.0, -60.0), (260.0, 10.0), (140.0, 20.0), (250.0, 90.0), (120.0, 110.0)),
-    ((-80.0, 90.0), (320.0, 95.0)),
-)
 
 
 def brute_force_tables(net: RoadNetwork) -> tuple[list, list]:
@@ -654,7 +634,7 @@ class TestShortestPath:
 
 
 class TestRouteMemo:
-    def test_matching_twice_searches_each_pair_once(self, city20, monkeypatch):
+    def test_matching_searches_each_from_node_once(self, city20, monkeypatch):
         corpus, _ = generate_trips(
             city20, SynthTripConfig(n_trips=150, n_devices=40, days=(date(2026, 1, 6),), seed=8)
         )
@@ -662,7 +642,7 @@ class TestRouteMemo:
         net = generate_city(SynthCityConfig(rows=20, cols=20, spacing_m=100.0,
                                             arterial_every=5, seed=42))
         asked: list[tuple[str, str]] = []
-        searched: list[tuple[str, str]] = []
+        sources: list[str] = []
         real_shortest_path = RoadNetwork.shortest_path
         real_search = RoadNetwork._search
 
@@ -670,17 +650,53 @@ class TestRouteMemo:
             asked.append((a, b))
             return real_shortest_path(self, a, b)
 
-        def counting_search(self, a, b):
-            searched.append((a, b))
-            return real_search(self, a, b)
+        def counting_search(self, a, targets):
+            sources.append(a)
+            return real_search(self, a, targets)
 
         monkeypatch.setattr(RoadNetwork, "shortest_path", counting_shortest_path)
         monkeypatch.setattr(RoadNetwork, "_search", counting_search)
         first, _ = match_corpus(corpus, net)
-        after_first = len(searched)
+        after_first = len(sources)
         second, _ = match_corpus(corpus, net)
 
         assert second == first
-        assert len(searched) == after_first
-        assert sorted(searched) == sorted({(a, b) for a, b in asked if a != b})
-        assert len(asked) >= 2 * len(searched)
+        assert len(sources) == after_first
+        assert len(set(sources)) == len(sources)
+        pairs = {(a, b) for a, b in asked if a != b}
+        assert pairs <= net._paths.keys()
+        assert len(sources) <= 0.6 * len(pairs)  # measured 178 sources for 336 pairs
+
+    def test_route_leaves_the_memo_of_one_call_per_leg(self):
+        # Equal link lengths make equal-length routes common; the isolated
+        # node "z" and the sparse random links leave some legs unreachable.
+        searched = 0
+        for seed in range(10):
+            rng = np.random.default_rng(300 + seed)
+            net = random_network(rng, 9, BASE)
+            nodes = {**net.nodes, "z": offset_point(BASE, -500.0, -500.0)}
+            links = {lid: dataclasses.replace(link, length_m=3000.0)
+                     for lid, link in net.links.items()}
+            names = sorted(nodes)
+            legs = [(names[a], names[b]) for a, b in rng.integers(len(names), size=(60, 2))]
+            legs += legs[:10]
+
+            batched = RoadNetwork(nodes, links)
+            batched.route(legs)
+            one_by_one = RoadNetwork(nodes, links)
+            for a, b in legs:
+                try:
+                    one_by_one.shortest_path(a, b)
+                except NoPathError:
+                    pass
+            assert batched._paths == one_by_one._paths
+            assert batched._paths.keys() == {(a, b) for a, b in legs if a != b}
+            for (a, b), path in batched._paths.items():
+                want = reference.shortest_path(batched, a, b)
+                assert path == (None if want is None else tuple(want))
+            searched += len(batched._paths)
+
+            with pytest.raises(NetworkError, match="nope"):
+                batched.route([(names[0], "z"), ("nope", names[1])])
+            assert batched._paths == one_by_one._paths
+        assert searched >= 400
