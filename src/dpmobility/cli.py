@@ -246,13 +246,12 @@ def cmd_synth_trips(args) -> int:
     )
     net = formats.load_network(args.network)
     corpus, truth = generate_trips(net, cfg)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    formats.save_trips_csv(corpus, out)
-    written = [out]
+    written = [Path(p) for p in (args.out, args.truth) if p]
+    for path in written:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    formats.save_trips_csv(corpus, args.out)
     if args.truth:
         formats.save_link_corpus_csv(truth, args.truth)
-        written.append(Path(args.truth))
     print(f"wrote {len(corpus)} trips -> {', '.join(str(p) for p in written)}")
     return EXIT_OK
 

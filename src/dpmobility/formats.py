@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -120,12 +120,20 @@ def format_timestamp(t: float) -> str:
     return text.replace("+00:00", "Z")
 
 
+# The instants that every UTC offset strictly inside (-24, 24) h can read.
+_FIRST_UTC = datetime.min.replace(tzinfo=timezone.utc) + timedelta(days=1)
+_LAST_UTC = datetime.max.replace(tzinfo=timezone.utc) - timedelta(days=1)
+
+
 def parse_timestamp(text: str) -> float:
     """Epoch seconds from ISO 8601 text; without ``Z`` or ``±hh:mm`` the
-    instant would depend on the reader's time zone, so that is a ValueError."""
+    instant would depend on the reader's time zone, so that is a ValueError.
+    So is an instant some window offset could not read as a local time."""
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         raise ValueError(f"timestamp {text!r} has no UTC offset")
+    if not _FIRST_UTC <= dt <= _LAST_UTC:
+        raise ValueError(f"timestamp {text!r} lies outside the UTC days 0001-01-02 to 9999-12-30")
     return dt.timestamp()
 
 

@@ -129,9 +129,10 @@ def rebuild_trajectory(
     """Re-route the perturbed ends of a trip, keeping its interior links.
 
     ``None`` means the corresponding end is unchanged; with both ends
-    unchanged the original is returned verbatim.  Raises
-    :class:`UnmatchableError` when a connecting path does not exist or the
-    result would be empty.
+    unchanged the original is returned verbatim.  A one-link trip is one
+    route from its new origin (else the link's tail) to its new destination
+    (else the link's head).  Raises :class:`UnmatchableError` when a
+    connecting path does not exist or the result would be empty.
     """
     if new_origin is None and new_destination is None:
         return original
@@ -140,12 +141,10 @@ def rebuild_trajectory(
     tail_anchor = net.links[links[-1]].from_node
     try:
         if len(links) == 1:
-            if new_origin is not None and new_destination is not None:
-                rebuilt = net.shortest_path(new_origin, new_destination)
-            elif new_origin is not None:
-                rebuilt = net.shortest_path(new_origin, head_anchor)
-            else:
-                rebuilt = net.shortest_path(tail_anchor, new_destination)
+            rebuilt = net.shortest_path(
+                tail_anchor if new_origin is None else new_origin,
+                head_anchor if new_destination is None else new_destination,
+            )
         else:
             prefix = (
                 net.shortest_path(new_origin, head_anchor)

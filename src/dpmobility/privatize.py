@@ -255,8 +255,9 @@ class EndpointPlan:
     rule perturbs, keyed by (trip position, ORIGIN or DESTINATION).
     ``passed`` holds the origin and destination decisions of every trip of
     ``trips`` with no fired end: a draw releases such a trip unchanged, so
-    its decisions do not depend on epsilon.  ``excluded`` counts the trips
-    dropped before any draw.
+    its decisions do not depend on epsilon.  They are built here, once per
+    plan, by the builder that also makes a drawn trip's decisions.
+    ``excluded`` counts the trips dropped before any draw.
     """
 
     trips_in: int
@@ -328,14 +329,7 @@ def _plan(
         for (key, _, point, buffer), (theta, _), unit in zip(ends, uniforms, units)
     }
     fired_trips = {i for i, _ in fired}
-    passed = {
-        i: (
-            EndpointDecision(i, ORIGIN, trip.links[0], False, None, trip.links[0], None),
-            EndpointDecision(i, DESTINATION, trip.links[-1], False, None, trip.links[-1], None),
-        )
-        for i, trip in trips.items()
-        if i not in fired_trips
-    }
+    passed = {i: _decisions(i, trip, trip) for i, trip in trips.items() if i not in fired_trips}
 
     return EndpointPlan(
         trips_in=len(gps_corpus),
@@ -345,6 +339,26 @@ def _plan(
         fired=fired,
         passed=passed,
     )
+
+
+def _decisions(
+    i: int,
+    trip: LinkTrajectory,
+    released: LinkTrajectory,
+    fired: tuple[FiredEnd | None, FiredEnd | None] = (None, None),
+    snaps: tuple[tuple[LinkId, NodeId] | None, tuple[LinkId, NodeId] | None] = (None, None),
+) -> tuple[EndpointDecision, EndpointDecision]:
+    """The origin and destination decisions of planned trip ``i``, released
+    as ``released``.  ``fired`` holds each end's plan and ``snaps`` its
+    :func:`match_noisy_endpoint` result, both None for an unfired end."""
+    origin, destination = (
+        EndpointDecision(
+            i, end, trip.links[k], f is not None, snap[0] if snap else None,
+            released.links[k], f.buffer.radius_m if f else None,
+        )
+        for end, k, f, snap in zip((ORIGIN, DESTINATION), (0, -1), fired, snaps)
+    )
+    return origin, destination
 
 
 def privatize_trajectories(
@@ -363,46 +377,24 @@ def privatize_trajectories(
 
     excluded = dict(plan.excluded)
     out = dict(plan.trips)
-
-    def exclude(i: int, cause: str) -> None:
-        del out[i]
-        excluded[cause] = excluded.get(cause, 0) + 1
-
-    drawn: dict[int, list[EndpointDecision]] = {}
+    drawn: dict[int, tuple[EndpointDecision, EndpointDecision]] = {}
     for i in dict.fromkeys(i for i, _ in plan.fired):
         trip = plan.trips[i]
-        ends = [(end, plan.fired.get((i, end))) for end in (ORIGIN, DESTINATION)]
+        fired = tuple(plan.fired.get((i, end)) for end in (ORIGIN, DESTINATION))
         try:
-            snaps = [
-                match_noisy_endpoint(fired.noisy_point(epsilon), fired.buffer.buffer_set_fc, net)
-                if fired else None
-                for _, fired in ends
-            ]
-            rebuilt = rebuild_trajectory(
-                trip, net, *(snap[1] if snap else None for snap in snaps)
+            snaps = tuple(
+                match_noisy_endpoint(f.noisy_point(epsilon), f.buffer.buffer_set_fc, net)
+                if f else None
+                for f in fired
             )
-        except UnmatchableError:
-            exclude(i, "unmatchable_rebuild")
+            out[i] = rebuild_trajectory(trip, net, *(snap[1] if snap else None for snap in snaps))
+        except (UnmatchableError, DisplacementRangeError) as e:
+            del out[i]
+            cause = ("unmatchable_rebuild" if isinstance(e, UnmatchableError)
+                     else "noise_out_of_range")
+            excluded[cause] = excluded.get(cause, 0) + 1
             continue
-        except DisplacementRangeError:
-            exclude(i, "noise_out_of_range")
-            continue
-
-        out[i] = rebuilt
-        drawn[i] = [
-            EndpointDecision(
-                i,
-                end,
-                original,
-                fired is not None,
-                snap[0] if snap else None,
-                new,
-                fired.buffer.radius_m if fired else None,
-            )
-            for (end, fired), snap, original, new in zip(
-                ends, snaps, (trip.links[0], trip.links[-1]), (rebuilt.links[0], rebuilt.links[-1])
-            )
-        ]
+        drawn[i] = _decisions(i, trip, out[i], fired, snaps)
 
     decisions = [d for i in out for d in (drawn[i] if i in drawn else plan.passed[i])]
     # A link with a planned count of one lies on one matched trip only.  A

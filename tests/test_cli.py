@@ -24,6 +24,12 @@ def run_cli(args, **env_overrides):
     )
 
 
+def two_sample_trip(first: str, second: str) -> str:
+    """A trips CSV of one two-sample trip, timed ``first`` (at line 2) and
+    ``second``."""
+    return f"device_id,timestamp,lat,lon\nd1,{first},37.8,-122.3\nd1,{second},37.8001,-122.3\n"
+
+
 def one_link_geojson(coordinates, **props) -> str:
     return json.dumps({"type": "FeatureCollection", "features": [{
         "type": "Feature",
@@ -62,6 +68,13 @@ class TestSynthCommands:
         with pytest.raises(SystemExit) as exit_:
             main(["synth", "network", "--seed", "1", "--out", str(tmp_path / "n.geojson")])
         assert exit_.value.code == 2
+
+    def test_trips_and_truth_into_new_directories(self, inputs, tmp_path):
+        _, net, _, _ = inputs
+        out, truth = tmp_path / "a" / "trips.csv", tmp_path / "b" / "truth.csv"
+        assert main(["synth", "trips", "--network", str(net), "--n-trips", "20",
+                     "--dates", "2026-01-06", "--out", str(out), "--truth", str(truth)]) == 0
+        assert len(formats.load_trips_csv(out)) == len(formats.load_link_corpus_csv(truth)) == 20
 
     def test_trips_infinite_utc_offset_exit_2(self, inputs, tmp_path):
         _, net, _, _ = inputs
@@ -208,10 +221,14 @@ class TestPrivatizeCommand:
          b"device_id,timestamp,lat,lon\nd1,2026-01-06T21:40:00Z,37.8,-122.3\xff\n", ""),
         ("network", "bad.geojson",
          b"\xff" + one_link_geojson([[-122.3, 37.8], [-122.3, 37.801]]).encode(), ""),
+        ("trips", "bad.csv",
+         two_sample_trip("9999-12-31T23:00:00-08:00", "9999-12-31T23:01:00-08:00"), ":2"),
+        ("trips", "bad.csv",
+         two_sample_trip("0001-01-01T00:00:00+01:00", "0001-01-01T00:01:00+01:00"), ":2"),
     ], ids=["bad-timestamp", "short-trip-row", "naive-timestamp", "long-trip-row",
             "short-network-row", "null-coordinate", "fractional-fc", "fc-9", "zero-speed",
             "empty-network", "features-null", "features-number", "huge-field",
-            "trips-not-utf8", "geojson-not-utf8"])
+            "trips-not-utf8", "geojson-not-utf8", "after-year-9999", "before-year-1"])
     def test_malformed_trips_exit_2(self, inputs, tmp_path, capsys, kind, name, text, where):
         _, net, trips, _ = inputs
         bad = tmp_path / name
@@ -223,6 +240,17 @@ class TestPrivatizeCommand:
         ])
         assert code == 2
         assert f"{bad}{where}: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_timestamp_unreadable_at_offset_exit_2(self, inputs, tmp_path, capsys):
+        # 23:00 UTC on the last day is 07:00 on 10000-01-01 at +8 h.
+        _, net, _, _ = inputs
+        bad = tmp_path / "bad.csv"
+        bad.write_text(two_sample_trip("9999-12-31T23:00:00Z", "9999-12-31T23:01:00Z"))
+        code = main(["privatize", "--network", str(net), "--trips", str(bad), "--epsilon", "1",
+                     "--utc-offset", "8", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{bad}:2: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 

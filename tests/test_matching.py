@@ -239,10 +239,26 @@ class TestRebuildTrajectory:
             rebuild_trajectory(original, net, new_origin="c")  # c == head anchor
 
     def test_connectivity_always_holds(self, city20):
-        route = city20.shortest_path("n003_002", "n010_010")
+        self.check_rebuilds_match_reference(city20, "n010_010")
+
+    def test_connectivity_always_holds_one_link(self, city20):
+        self.check_rebuilds_match_reference(city20, "n003_003")
+
+    def check_rebuilds_match_reference(self, city20, last_node):
+        route = city20.shortest_path("n003_002", last_node)
         original = self.make_lt(route)
-        for new_o in ("n002_002", "n004_001", "n003_003"):
+        unmatchable = []
+        for new_o in (None, "n002_002", "n004_001", "n003_003"):
             for new_d in (None, "n011_011", "n009_009"):
+                expected = reference.rebuild(city20, original.links, new_o, new_d)
+                if expected is None:
+                    with pytest.raises(UnmatchableError):
+                        rebuild_trajectory(original, city20, new_o, new_d)
+                    unmatchable.append((new_o, new_d))
+                    continue
                 rebuilt = rebuild_trajectory(original, city20, new_o, new_d)
                 assert reference.is_connected(city20, rebuilt.links)
-                assert rebuilt.links == reference.rebuild(city20, original.links, new_o, new_d)
+                assert rebuilt.links == expected
+        # On the one-link trip, n003_003 is the link's head: a new origin
+        # there with the destination kept routes nowhere.
+        assert unmatchable == ([] if len(route) > 1 else [("n003_003", None)])
